@@ -44,7 +44,6 @@ var benchMetricNames = map[string][]string{
 	"BenchmarkExtensionPnL":        {"direct_fastest_wins_%", "dbo_fastest_wins_%"},
 	"BenchmarkSimulatorThroughput": {"trades/s"},
 	"BenchmarkPipeline":            {"trades/s", "allocs/op_measured"},
-	"BenchmarkPipelineLegacyQueue": {"trades/s", "allocs/op_measured"},
 }
 
 // benchAgg accumulates metric observations across every benchmark
@@ -96,7 +95,6 @@ func TestBenchMetricNamesStable(t *testing.T) {
 		"BenchmarkFigure2: cloudex_fair_% cloudex_overruns dbo_fair_%",
 		"BenchmarkFigure7: drain_slope theory_slope peak_queue",
 		"BenchmarkPipeline: trades/s allocs/op_measured",
-		"BenchmarkPipelineLegacyQueue: trades/s allocs/op_measured",
 		"BenchmarkSimulatorThroughput: trades/s",
 		"BenchmarkTable2: direct_fair_% dbo_avg_µs dbo_p999_µs",
 		"BenchmarkTable3: direct_fair_% dbo_fair_% dbo_p999_µs",
@@ -289,12 +287,12 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	a.report()
 }
 
-// benchPipeline measures the tag→enqueue→release micro-benchmark (the
-// BENCH_*.json pipeline section) under go test -bench.
-func benchPipeline(b *testing.B, legacy bool) {
+// BenchmarkPipeline measures the tag→enqueue→release micro-benchmark
+// (the BENCH_*.json pipeline section) under go test -bench.
+func BenchmarkPipeline(b *testing.B) {
 	a := newBenchAgg(b)
 	res := experiment.RunPipelineBench(
-		experiment.PipelineOpts{Seed: 1, Legacy: legacy},
+		experiment.PipelineOpts{Seed: 1},
 		b.N,
 		func() int64 { return int64(b.Elapsed()) },
 	)
@@ -302,6 +300,3 @@ func benchPipeline(b *testing.B, legacy bool) {
 	a.add("allocs/op_measured", res.AllocsPerOp)
 	a.report()
 }
-
-func BenchmarkPipeline(b *testing.B)            { benchPipeline(b, false) }
-func BenchmarkPipelineLegacyQueue(b *testing.B) { benchPipeline(b, true) }

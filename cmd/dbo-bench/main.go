@@ -9,12 +9,12 @@
 //
 // With -json it instead emits one machine-readable benchmark
 // trajectory snapshot (BENCH_<date>.json; schema in
-// internal/experiment): tag→enqueue→release throughput and allocs/op
-// against the legacy configuration, seeded end-to-end simulation
-// trades/sec with hold-time quantiles, and wire codec throughput.
-// -compare checks the snapshot against a committed baseline and exits
-// non-zero on regression (any allocs/op increase, or a >20% trades/sec
-// drop).
+// internal/experiment): tag→enqueue→release throughput and allocs/op,
+// seeded end-to-end simulation trades/sec with hold-time quantiles, and
+// wire codec throughput. -compare checks the snapshot against a
+// committed baseline of the same schema and exits 1 on regression (any
+// allocs/op increase, or a >20% trades/sec drop) or on a baseline it
+// cannot read. An unknown -exp exits 2.
 package main
 
 import (
@@ -54,18 +54,24 @@ var runners = []runner{
 	{"pnl", "extension: who wins the races", func(o experiment.Opts, w io.Writer) { experiment.SpeedPnL(o).Render(w) }},
 }
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run (or 'all'); one of: "+names())
-	seed := flag.Uint64("seed", 1, "deterministic seed")
-	ms := flag.Int64("ms", 0, "override simulated duration in milliseconds (0 = experiment default)")
-	jsonMode := flag.Bool("json", false, "emit a BENCH_<date>.json trajectory snapshot instead of tables")
-	short := flag.Bool("short", false, "with -json: reduced iteration counts (CI smoke)")
-	out := flag.String("out", "", "with -json: output path ('-' = stdout; default BENCH_<date>.json)")
-	compare := flag.String("compare", "", "with -json: baseline BENCH_*.json; exit 1 on regression")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dbo-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run (or 'all'); one of: "+names())
+	seed := fs.Uint64("seed", 1, "deterministic seed")
+	ms := fs.Int64("ms", 0, "override simulated duration in milliseconds (0 = experiment default)")
+	jsonMode := fs.Bool("json", false, "emit a BENCH_<date>.json trajectory snapshot instead of tables")
+	short := fs.Bool("short", false, "with -json: reduced iteration counts (CI smoke)")
+	out := fs.String("out", "", "with -json: output path ('-' = stdout; default BENCH_<date>.json)")
+	compare := fs.String("compare", "", "with -json: baseline BENCH_*.json; exit 1 on regression")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *jsonMode {
-		os.Exit(runJSON(*seed, *short, *out, *compare))
+		return runJSON(*seed, *short, *out, *compare, stdout, stderr)
 	}
 
 	opts := experiment.Opts{Seed: *seed, Duration: sim.Time(*ms) * sim.Millisecond}
@@ -77,18 +83,19 @@ func main() {
 		}
 		any = true
 		start := time.Now()
-		r.run(opts, os.Stdout)
-		fmt.Printf("  [%s: %s in %v]\n\n", r.name, r.desc, time.Since(start).Round(time.Millisecond))
+		r.run(opts, stdout)
+		fmt.Fprintf(stdout, "  [%s: %s in %v]\n\n", r.name, r.desc, time.Since(start).Round(time.Millisecond))
 	}
 	if !any {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s\n", *exp, names())
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown experiment %q; available: %s\n", *exp, names())
+		return 2
 	}
+	return 0
 }
 
 // runJSON produces one benchmark trajectory snapshot and optionally
 // gates it against a committed baseline.
-func runJSON(seed uint64, short bool, out, compare string) int {
+func runJSON(seed uint64, short bool, out, compare string, stdout, stderr io.Writer) int {
 	date := time.Now().Format("2006-01-02")
 	rep := experiment.RunBench(experiment.BenchOpts{
 		Seed:  seed,
@@ -98,48 +105,48 @@ func runJSON(seed uint64, short bool, out, compare string) int {
 	})
 	b, err := experiment.EncodeBenchReport(rep)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dbo-bench: encode: %v\n", err)
+		fmt.Fprintf(stderr, "dbo-bench: encode: %v\n", err)
 		return 1
 	}
 	if out == "-" {
-		os.Stdout.Write(b)
+		if _, err := stdout.Write(b); err != nil {
+			fmt.Fprintf(stderr, "dbo-bench: %v\n", err)
+			return 1
+		}
 	} else {
 		if out == "" {
 			out = "BENCH_" + date + ".json"
 		}
 		if err := os.WriteFile(out, b, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dbo-bench: %v\n", err)
+			fmt.Fprintf(stderr, "dbo-bench: %v\n", err)
 			return 1
 		}
-		fmt.Printf("wrote %s\n", out)
-		fmt.Printf("  pipeline:  %11.0f trades/s  %7.1f ns/op  %5.2f allocs/op\n",
+		fmt.Fprintf(stdout, "wrote %s\n", out)
+		fmt.Fprintf(stdout, "  pipeline:  %11.0f trades/s  %7.1f ns/op  %5.2f allocs/op\n",
 			rep.Pipeline.TradesPerSec, rep.Pipeline.NsPerOp, rep.Pipeline.AllocsPerOp)
-		fmt.Printf("  legacy:    %11.0f trades/s  %7.1f ns/op  %5.2f allocs/op  (speedup %.2fx)\n",
-			rep.PipelineLegacy.TradesPerSec, rep.PipelineLegacy.NsPerOp,
-			rep.PipelineLegacy.AllocsPerOp, rep.PipelineSpeedup)
-		fmt.Printf("  sim:       %11.0f trades/s  (%d trades, %d simulated ms)\n",
+		fmt.Fprintf(stdout, "  sim:       %11.0f trades/s  (%d trades, %d simulated ms)\n",
 			rep.Sim.TradesPerSec, rep.Sim.Trades, int64(rep.Sim.Duration/sim.Millisecond))
-		fmt.Printf("  wire:      %8.1f enc MB/s  %8.1f dec MB/s  %5.2f allocs/op\n",
+		fmt.Fprintf(stdout, "  wire:      %8.1f enc MB/s  %8.1f dec MB/s  %5.2f allocs/op\n",
 			rep.Wire.EncodeMBPerSec, rep.Wire.DecodeMBPerSec, rep.Wire.AllocsPerOp)
 	}
 	if compare != "" {
 		raw, err := os.ReadFile(compare)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dbo-bench: %v\n", err)
+			fmt.Fprintf(stderr, "dbo-bench: %v\n", err)
 			return 1
 		}
 		base, err := experiment.ParseBenchReport(raw)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dbo-bench: baseline: %v\n", err)
+			fmt.Fprintf(stderr, "dbo-bench: baseline: %v\n", err)
 			return 1
 		}
 		if regs := experiment.CompareBenchReports(base, rep, 0.20); len(regs) > 0 {
 			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", r)
+				fmt.Fprintf(stderr, "REGRESSION: %s\n", r)
 			}
 			return 1
 		}
-		fmt.Printf("no regression vs %s\n", compare)
+		fmt.Fprintf(stdout, "no regression vs %s\n", compare)
 	}
 	return 0
 }

@@ -170,8 +170,6 @@ func Default() *Config {
 			// TestPipelineZeroAlloc drives it (experiment.Pipeline.Step).
 			{Pkg: "internal/core", Func: "(OrderingBuffer).OnTrade"},
 			{Pkg: "internal/core", Func: "(OrderingBuffer).OnHeartbeat"},
-			{Pkg: "internal/core", Func: "(OrderingBuffer).BeginCoalesce"},
-			{Pkg: "internal/core", Func: "(OrderingBuffer).EndCoalesce"},
 			{Pkg: "internal/core", Func: "(OrderingBuffer).Tick"},
 			{Pkg: "internal/core", Func: "(ReleaseBuffer).OnData"},
 			{Pkg: "internal/core", Func: "(ReleaseBuffer).OnTrade"},

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dbo/internal/core"
 	"dbo/internal/exchange"
 	"dbo/internal/market"
 )
@@ -59,9 +58,6 @@ func Run(seed uint64) *Report { return RunScenario(Generate(seed)) }
 // on a single OB and the two forwarded orders are compared (oracle 6):
 // every RB-side random stream is derived from the seed alone, so the
 // submissions are bit-identical and only the ordering layer differs.
-// Every scenario is additionally re-run with the legacy heap trade
-// queue and compared against the default bucketed queue (oracle 7) —
-// the two structures must be observationally identical.
 func RunScenario(s Scenario) *Report {
 	cfg := s.Config()
 	c := newChecker(s)
@@ -93,54 +89,7 @@ func RunScenario(s Scenario) *Report {
 		rep.Suppressed += c2.v.n - len(c2.v.list)
 		checkEquivalence(rep, res.TradeLog, res2.TradeLog, s.Seed)
 	}
-
-	cfg3 := s.Config()
-	cfg3.OBQueue = core.QueueHeap
-	c3 := newChecker(s)
-	c3.install(&cfg3)
-	res3 := exchange.Run(cfg3)
-	c3.finish(res3)
-	for _, v := range c3.v.list {
-		rep.Violations = append(rep.Violations, "heap-queue control: "+v)
-	}
-	rep.Suppressed += c3.v.n - len(c3.v.list)
-	checkQueueEquivalence(rep, res.TradeLog, res3.TradeLog, c.events, c3.events, s.Seed)
 	return rep
-}
-
-// checkQueueEquivalence is oracle 7: the bucketed trade queue is a pure
-// data-structure swap, so the default run must forward the exact total
-// order the legacy heap run does and report the same straggler
-// transitions.
-func checkQueueEquivalence(rep *Report, bucketed, heap []*market.Trade, bev, hev []core.StragglerEvent, seed uint64) {
-	switch {
-	case len(bucketed) != len(heap):
-		rep.Violations = append(rep.Violations, fmt.Sprintf(
-			"[oracle-7] seed=%d: bucketed queue forwarded %d trades, heap queue %d", seed, len(bucketed), len(heap)))
-	default:
-		for i := range bucketed {
-			a, b := bucketed[i], heap[i]
-			if a.Key() != b.Key() || a.DC != b.DC {
-				rep.Violations = append(rep.Violations, fmt.Sprintf(
-					"[oracle-7] seed=%d: orders diverge at position %d: bucketed %v DC %v vs heap %v DC %v",
-					seed, i, a.Key(), a.DC, b.Key(), b.DC))
-				break
-			}
-		}
-	}
-	if len(bev) != len(hev) {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(
-			"[oracle-7] seed=%d: bucketed queue saw %d straggler transitions, heap queue %d", seed, len(bev), len(hev)))
-		return
-	}
-	for i := range bev {
-		if bev[i] != hev[i] {
-			rep.Violations = append(rep.Violations, fmt.Sprintf(
-				"[oracle-7] seed=%d: straggler transitions diverge at %d: bucketed %+v vs heap %+v",
-				seed, i, bev[i], hev[i]))
-			return
-		}
-	}
 }
 
 // checkEquivalence is oracle 6 (§5.2): the sharded OB must forward the

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 
@@ -30,7 +31,7 @@ func (v *violations) addf(oracle, format string, args ...any) {
 }
 
 // checker observes one exchange run through the conformance hooks and
-// scores it against the six oracles:
+// scores it against the oracles:
 //
 //	oracle-1  LRTF: same-trigger trades with RT < δ finish in true
 //	          response-time order, and their delivery clocks are exact
@@ -46,6 +47,10 @@ func (v *violations) addf(oracle, format string, args ...any) {
 //	          and each carries evidence crossing the threshold.
 //	oracle-6  sharded/single equivalence (§5.2): checked by RunScenario
 //	          via a control re-run, not by the checker itself.
+//	oracle-7  release order: every forwarded trade is the minimum
+//	          (delivery clock, participant, sequence) among the trades
+//	          that reached the CES and were not yet forwarded, per a
+//	          reference heap the checker keeps itself.
 //
 // With drifting clocks the oracles use tolerances derived from the
 // scenario's maximum |drift rate| (the pacing wait is computed in local
@@ -69,6 +74,7 @@ type checker struct {
 	straggler map[market.ParticipantID]bool
 	ever      map[market.ParticipantID]bool
 	events    []core.StragglerEvent
+	pending   pendingHeap
 
 	released int
 	pairs    int
@@ -176,15 +182,33 @@ func (c *checker) onTag(mp int, v any) {
 	tv.seen, tv.dc = true, dc
 }
 
-// onUpstream maintains shadow watermarks from the raw reverse-path
-// traffic, independently of the OB (or shard) implementation: a trade
-// advances its sender's watermark, a heartbeat sets it to the report.
+// pendingHeap is oracle 7's reference: the final-order keys of the
+// trades handed to the ordering buffer and not yet forwarded, as a
+// plain container/heap that shares nothing with core's bucketed queue.
+type pendingHeap []market.Ordering
+
+func (h pendingHeap) Len() int           { return len(h) }
+func (h pendingHeap) Less(i, j int) bool { return h[i].Less(h[j]) }
+func (h pendingHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *pendingHeap) Push(x any)        { *h = append(*h, x.(market.Ordering)) }
+func (h *pendingHeap) Pop() any {
+	old := *h
+	k := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return k
+}
+
+// onUpstream maintains shadow watermarks and the pending set from the
+// raw reverse-path traffic, independently of the OB (or shard)
+// implementation: a trade advances its sender's watermark and becomes
+// pending, a heartbeat sets the watermark to the report.
 func (c *checker) onUpstream(v any, at sim.Time) {
 	switch m := v.(type) {
 	case *market.Trade:
 		if c.wm[m.MP].Less(m.DC) {
 			c.wm[m.MP] = m.DC
 		}
+		heap.Push(&c.pending, market.Ordering{DC: m.DC, MP: m.MP, Seq: m.Seq})
 	case market.Heartbeat:
 		c.wm[m.MP] = m.DC
 	}
@@ -203,6 +227,12 @@ func (c *checker) onRelease(t *market.Trade) {
 		c.v.addf("oracle-3", "trade %v forwarded at position %d, want contiguous %d", t.Key(), t.FinalPos, c.released)
 	}
 	c.released++
+	got := market.Ordering{DC: t.DC, MP: t.MP, Seq: t.Seq}
+	if len(c.pending) == 0 {
+		c.v.addf("oracle-7", "trade %v DC %v forwarded but never seen upstream", t.Key(), t.DC)
+	} else if want := heap.Pop(&c.pending).(market.Ordering); want != got {
+		c.v.addf("oracle-7", "trade %v DC %v forwarded while %+v is the minimum pending", t.Key(), t.DC, want)
+	}
 	for i := 0; i < c.s.N; i++ {
 		p := market.ParticipantID(i + 1)
 		if c.straggler[p] {

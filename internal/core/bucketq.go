@@ -1,84 +1,19 @@
 package core
 
 import (
-	"container/heap"
 	"sort"
 
 	"dbo/internal/market"
 )
 
-// QueueKind selects the ordering buffer's internal priority queue.
-type QueueKind int
-
-const (
-	// QueueBucketed is the default: trades bucketed by delivery-clock
-	// point, sorted within a bucket. Releases are watermark-driven and
-	// near-FIFO within a point, so pushes and pops are O(1) amortized
-	// and allocation-free on the steady state.
-	QueueBucketed QueueKind = iota
-	// QueueHeap is the legacy container/heap implementation, kept as the
-	// behavioral reference for differential testing (oracle 7) and as
-	// the pre-optimization baseline for BENCH trajectories.
-	QueueHeap
-)
-
-func (k QueueKind) String() string {
-	if k == QueueHeap {
-		return "heap"
-	}
-	return "bucketed"
-}
-
-// tradeQueue is the ordering buffer's priority-queue contract: Pop
-// yields queued trades in (delivery clock, participant, sequence)
-// order. Both implementations realize the same total order, which the
-// differential oracle in internal/check and FuzzBucketQueue pin.
-type tradeQueue interface {
-	Push(t *market.Trade)
-	// Peek returns the minimum queued trade without removing it, nil
-	// when empty.
-	Peek() *market.Trade
-	// Pop removes and returns the minimum queued trade; callers must
-	// ensure the queue is non-empty.
-	Pop() *market.Trade
-	Len() int
-	// Drain removes and returns all queued trades in order (OB crash).
-	Drain() []*market.Trade
-}
-
-func newTradeQueue(k QueueKind) tradeQueue {
-	if k == QueueHeap {
-		return &heapQueue{}
-	}
-	return &bucketQueue{}
-}
-
-// heapQueue adapts the legacy tradeHeap to the tradeQueue contract.
-type heapQueue struct{ h tradeHeap }
-
-func (q *heapQueue) Push(t *market.Trade) { heap.Push(&q.h, t) }
-func (q *heapQueue) Peek() *market.Trade {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-func (q *heapQueue) Pop() *market.Trade { return heap.Pop(&q.h).(*market.Trade) }
-func (q *heapQueue) Len() int           { return len(q.h) }
-func (q *heapQueue) Drain() []*market.Trade {
-	out := make([]*market.Trade, 0, len(q.h))
-	for len(q.h) > 0 {
-		out = append(out, q.Pop())
-	}
-	return out
-}
-
-// bucketQueue holds trades bucketed by DC.Point. Buckets are kept in a
-// slice sorted by point with a moving head index; trades within a
-// bucket are kept sorted by (Elapsed, MP, Seq), also behind a moving
-// head. The watermark gate only ever admits a DC-prefix of the queue,
-// so pops walk the front bucket forward; exhausted buckets are recycled
-// through a small free list, making the steady state allocation-free.
+// bucketQueue is the ordering buffer's priority queue: Pop yields the
+// queued trades in (delivery clock, participant, sequence) order. It
+// holds them bucketed by DC.Point. Buckets are kept in a slice sorted by
+// point with a moving head index; trades within a bucket are kept sorted
+// by (Elapsed, MP, Seq), also behind a moving head. The watermark gate
+// only ever admits a DC-prefix of the queue, so pops walk the front
+// bucket forward; exhausted buckets are recycled through a small free
+// list, making the steady state allocation-free.
 //
 // Arrival is near-FIFO within a point (RBs tag with monotone local
 // clocks), so the common insert is an append at the tail of the newest
@@ -102,6 +37,12 @@ type pointBucket struct {
 	point market.PointID
 	items []*market.Trade // sorted by (Elapsed, MP, Seq); live from head on
 	head  int
+}
+
+// ordKey is a trade's position in the final order: (delivery clock,
+// participant, sequence).
+func ordKey(t *market.Trade) market.Ordering {
+	return market.Ordering{DC: t.DC, MP: t.MP, Seq: t.Seq}
 }
 
 // lessWithin orders two trades of the same point via the canonical
@@ -168,6 +109,8 @@ func (b *pointBucket) insert(t *market.Trade) {
 	b.items[b.head+i] = t
 }
 
+// Peek returns the minimum queued trade without removing it, nil when
+// empty.
 func (q *bucketQueue) Peek() *market.Trade {
 	if q.size == 0 {
 		return nil
@@ -176,6 +119,8 @@ func (q *bucketQueue) Peek() *market.Trade {
 	return b.items[b.head]
 }
 
+// Pop removes and returns the minimum queued trade; the queue must be
+// non-empty.
 func (q *bucketQueue) Pop() *market.Trade {
 	b := q.buckets[q.head]
 	t := b.items[b.head]
@@ -215,6 +160,7 @@ func (q *bucketQueue) recycle(b *pointBucket) {
 	}
 }
 
+// Drain removes and returns all queued trades in order (OB crash).
 func (q *bucketQueue) Drain() []*market.Trade {
 	out := make([]*market.Trade, 0, q.size)
 	for q.size > 0 {

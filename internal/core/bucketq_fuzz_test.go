@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzBucketQueue differentially fuzzes the bucketed trade queue
-// against the legacy heap on arbitrary push/pop interleavings. The
+// against the reference heap on arbitrary push/pop interleavings. The
 // fuzzer drives the bucket keying through every structural path: tail
 // appends, same-point reinsertion, out-of-order point splices (the
 // straggler case), bucket recycling through the free list, and the
@@ -28,8 +28,7 @@ func FuzzBucketQueue(f *testing.F) {
 	// Long same-point run to exercise within-bucket sorted insert.
 	f.Add([]byte{0x11, 0x19, 0x15, 0x13, 0x17, 0x80, 0x80, 0x80, 0x80, 0x80})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		bq := newTradeQueue(QueueBucketed)
-		hq := newTradeQueue(QueueHeap)
+		bq, hq := &bucketQueue{}, &heapQueue{}
 		var seq market.TradeSeq
 		for i, op := range ops {
 			if op&0x80 != 0 {

@@ -1,32 +1,10 @@
 package core
 
 import (
-	"fmt"
-
 	"dbo/internal/flight"
 	"dbo/internal/market"
 	"dbo/internal/sim"
 )
-
-// tradeHeap orders trades by (delivery clock, participant, sequence).
-type tradeHeap []*market.Trade
-
-func ordKey(t *market.Trade) market.Ordering {
-	return market.Ordering{DC: t.DC, MP: t.MP, Seq: t.Seq}
-}
-
-func (h tradeHeap) Len() int           { return len(h) }
-func (h tradeHeap) Less(i, j int) bool { return ordKey(h[i]).Less(ordKey(h[j])) }
-func (h tradeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *tradeHeap) Push(x any)        { *h = append(*h, x.(*market.Trade)) }
-func (h *tradeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
-}
 
 // OrderingBufferConfig configures an ordering buffer.
 type OrderingBufferConfig struct {
@@ -68,156 +46,41 @@ type OrderingBufferConfig struct {
 	// participant whose watermark advance (or straggler exclusion)
 	// finally let a held trade through the gate.
 	Flight *flight.Recorder
-
-	// Queue selects the internal priority queue: QueueBucketed (default,
-	// allocation-free steady state with a cached release gate) or
-	// QueueHeap (the legacy container/heap reference implementation).
-	// Both realize the identical release order; internal/check's
-	// oracle 7 re-runs seeded scenarios under QueueHeap to prove it.
-	Queue QueueKind
-}
-
-// StragglerEvent is one straggler state transition (§4.2.1): a
-// participant was excluded from the release gate or re-admitted to it.
-type StragglerEvent struct {
-	MP        market.ParticipantID
-	Straggler bool     // true = excluded, false = re-admitted
-	RTT       sim.Time // measured RTT; for Timeout exclusions, the heartbeat silence
-	Threshold sim.Time // exclusion threshold in force at the transition
-	Timeout   bool     // exclusion caused by heartbeat silence, not a measured RTT
-	At        sim.Time // global time of the transition
 }
 
 // OrderingBuffer implements §4.1.3: a priority queue of delivery-clock-
-// tagged trades released only once every (non-straggler) participant's
-// watermark strictly exceeds the head trade's clock.
+// tagged trades behind a watermark gate — a trade is released only once
+// every (non-straggler) participant's watermark strictly exceeds its
+// clock.
 type OrderingBuffer struct {
-	cfg   OrderingBufferConfig
-	queue tradeQueue
-	state map[market.ParticipantID]*mpState
-	// dense is a direct-index fast path for the per-message state
-	// lookup, built when the participant id range is compact (the
-	// common case: MPs 1..N, or shard ids −1..−N). Nil for sparse id
-	// spaces, where the map is used instead.
-	dense     []*mpState
-	denseBase int
-	// order holds the same states in config order: every scan that can
-	// influence externally visible behaviour (gate checks, straggler
-	// sweeps, event emission) walks this slice, never the map, so a
-	// seeded run's observable event sequence is deterministic.
-	order []*mpState
-	start sim.Time
-
-	// gate caches the minimum watermark over non-straggler participants
-	// (MaxDeliveryClock when all are excluded); a trade releases iff its
-	// clock is strictly below the gate. gateUpdate maintains it
-	// incrementally — only a change that can *raise* the minimum (the
-	// gate-defining contribution moved up or dropped out) marks it
-	// gateDirty for a lazy O(participants) recompute, so advancing a
-	// non-minimum watermark costs O(1) and a drain pass does at most
-	// one scan. Only the bucketed queue uses it — the heap path keeps
-	// the legacy per-release releasable() scan as the pre-optimization
-	// reference.
-	gate      market.DeliveryClock
-	gateN     int // participants whose contribution equals gate
-	gateDirty bool
-
-	// coalescing defers drains between BeginCoalesce/EndCoalesce while
-	// recording effective gate-contribution changes for attribution.
-	coalescing bool
-	updates    []wmUpdate
+	cfg OrderingBufferConfig
+	gate
+	queue bucketQueue
 
 	Forwarded int
-	// StragglerEvents counts activations of straggler mitigation.
-	StragglerEvents int
-}
-
-// wmUpdate records one participant's effective gate contribution
-// change during a coalesced window: its watermark moved from old to
-// new (straggler exclusion reads as an advance to MaxDeliveryClock).
-// origin is the participant to attribute unblocked releases to.
-type wmUpdate struct {
-	origin   market.ParticipantID
-	old, new market.DeliveryClock
-}
-
-type mpState struct {
-	id        market.ParticipantID
-	wm        market.DeliveryClock
-	lastHB    sim.Time // global arrival time of the latest heartbeat
-	hasHB     bool
-	straggler bool
-	rtt       sim.Time
 }
 
 // NewOrderingBuffer validates the config and returns an empty OB.
 func NewOrderingBuffer(cfg OrderingBufferConfig) *OrderingBuffer {
-	if len(cfg.Participants) == 0 {
-		panic("core: OB needs at least one participant")
-	}
 	if cfg.Forward == nil || cfg.Sched == nil {
 		panic("core: OB needs Forward and Sched")
 	}
-	if cfg.StragglerRTT > 0 && cfg.GenTime == nil {
-		panic("core: straggler mitigation needs GenTime")
-	}
-	if cfg.Threshold != nil && cfg.StragglerRTT <= 0 {
-		panic("core: adaptive threshold needs StragglerRTT > 0 as its cap")
-	}
-	ob := &OrderingBuffer{
-		cfg:       cfg,
-		queue:     newTradeQueue(cfg.Queue),
-		state:     make(map[market.ParticipantID]*mpState, len(cfg.Participants)),
-		gateDirty: true,
-	}
-	for _, p := range cfg.Participants {
-		if _, dup := ob.state[p]; dup {
-			panic(fmt.Sprintf("core: duplicate participant %d", p))
-		}
-		st := &mpState{id: p}
-		ob.state[p] = st
-		ob.order = append(ob.order, st)
-	}
-	ob.start = cfg.Sched.Now()
-	lo, hi := int(cfg.Participants[0]), int(cfg.Participants[0])
-	for _, p := range cfg.Participants {
-		lo, hi = min(lo, int(p)), max(hi, int(p))
-	}
-	if span := hi - lo + 1; span <= 4*len(cfg.Participants)+64 {
-		ob.dense = make([]*mpState, span)
-		ob.denseBase = lo
-		for _, st := range ob.order {
-			ob.dense[int(st.id)-lo] = st
-		}
-	}
-	return ob
+	return &OrderingBuffer{cfg: cfg, gate: newGate(cfg.Participants, gateConfig{
+		Sched:        cfg.Sched,
+		StragglerRTT: cfg.StragglerRTT,
+		Threshold:    cfg.Threshold,
+		GenTime:      cfg.GenTime,
+		OnStraggler:  cfg.OnStraggler,
+		Flight:       cfg.Flight,
+	})}
 }
 
-// lookup resolves a participant's state (nil if unknown).
-func (ob *OrderingBuffer) lookup(id market.ParticipantID) *mpState {
-	if ob.dense != nil {
-		if i := int(id) - ob.denseBase; i >= 0 && i < len(ob.dense) {
-			return ob.dense[i]
-		}
-		return nil
-	}
-	return ob.state[id]
-}
-
-// OnTrade ingests a tagged trade. The trade itself also advances its
-// sender's watermark: in-order delivery plus clock monotonicity mean
-// the OB will never see an earlier clock from that participant again.
+// OnTrade ingests a tagged trade, which also advances its sender's
+// watermark.
 func (ob *OrderingBuffer) OnTrade(t *market.Trade) {
 	t.Enqueued = ob.cfg.Sched.Now()
 	ob.queue.Push(t)
-	if st := ob.lookup(t.MP); st != nil && st.wm.Less(t.DC) {
-		old := ob.contribution(st)
-		st.wm = t.DC
-		ob.gateUpdate(old, ob.contribution(st))
-		if ob.coalescing {
-			ob.noteUpdate(t.MP, old, ob.contribution(st))
-		}
-	}
+	ob.advance(t.MP, t.DC)
 	if f := ob.cfg.Flight; f.Enabled() {
 		f.Emit(flight.Event{
 			At: t.Enqueued, Kind: flight.KindEnqueue,
@@ -232,51 +95,17 @@ func (ob *OrderingBuffer) OnTrade(t *market.Trade) {
 // reported clock, refreshes its liveness, and updates the straggler
 // estimate. The watermark is the *latest* report, not the maximum:
 // release buffers only ever report monotone clocks over their in-order
-// channel, and for shard participants (§5.2) the minimum may legally
-// regress when a straggler member is re-admitted — the gate must then
-// wait for the re-admitted member again rather than keep releasing
-// against its stale pre-exclusion watermark.
+// channel, and a shard participant's minimum may regress (see
+// gate.report).
 func (ob *OrderingBuffer) OnHeartbeat(h market.Heartbeat) {
-	st := ob.lookup(h.MP)
-	if st == nil {
-		return // unknown participant; ignore rather than corrupt state
+	if !ob.report(h, true) {
+		return
 	}
-	now := ob.cfg.Sched.Now()
-	if f := ob.cfg.Flight; f.Enabled() {
-		var staleness sim.Time
-		if st.hasHB {
-			staleness = now - st.lastHB
-		}
-		f.Emit(flight.Event{
-			At: now, Kind: flight.KindWatermark,
-			MP: h.MP, DC: h.DC, Aux: int64(staleness), Aux2: int64(h.Origin),
-			Hop: h.Ctx.Hop,
-		})
-	}
-	old := ob.contribution(st)
-	st.wm = h.DC
-	st.lastHB = now
-	st.hasHB = true
-	if ob.cfg.StragglerRTT > 0 && h.DC.HasDelivered() {
-		// RTT ≈ (delivery latency of the latest point) + (heartbeat
-		// network latency): heartbeat arrival − G(point) − elapsed.
-		st.rtt = now - ob.cfg.GenTime(h.DC.Point) - h.DC.Elapsed
-		if ob.cfg.Threshold != nil {
-			ob.cfg.Threshold.Observe(h.MP, st.rtt, now)
-		}
-		thr := ob.threshold(now)
-		ob.setStraggler(st, st.rtt > thr, st.rtt, thr, false)
-	}
-	ob.gateUpdate(old, ob.contribution(st))
 	// Attribute releases to the member that moved a shard minimum when
 	// the heartbeat says which one it was (§5.2), else to the sender.
 	cause := h.MP
 	if h.Origin != 0 {
 		cause = h.Origin
-	}
-	if ob.coalescing {
-		ob.noteUpdate(cause, old, ob.contribution(st))
-		return
 	}
 	ob.drain(cause)
 }
@@ -285,73 +114,13 @@ func (ob *OrderingBuffer) OnHeartbeat(h market.Heartbeat) {
 // detection and a drain pass. Harnesses call it every τ (or on any
 // timer); it is idempotent.
 func (ob *OrderingBuffer) Tick() {
-	if ob.cfg.StragglerRTT > 0 {
-		now := ob.cfg.Sched.Now()
-		thr := ob.threshold(now)
-		for _, st := range ob.order {
-			last := st.lastHB
-			if !st.hasHB {
-				last = ob.start
-			}
-			if now-last > thr {
-				old := ob.contribution(st)
-				if ob.setStraggler(st, true, now-last, thr, true) {
-					ob.gateUpdate(old, ob.contribution(st))
-					// Excluding st shrank the gate; any trade released
-					// now was waiting on st's watermark.
-					if ob.coalescing {
-						ob.noteUpdate(st.id, old, ob.contribution(st))
-					} else {
-						ob.drain(st.id)
-					}
-				}
-			}
-		}
-	}
+	// Excluding a participant shrinks the gate; any trade released by
+	// that drain was waiting on the excluded participant's watermark.
+	ob.sweep(ob.drain)
 	// A drain with no state change never releases anything; cause 0 is
 	// the "nothing was waiting on anyone" marker and is asserted on by
 	// flight.UnattributedHeld.
 	ob.drain(0)
-}
-
-// threshold resolves the exclusion threshold in force: the adaptive
-// policy's answer when one is configured, the static constant otherwise.
-func (ob *OrderingBuffer) threshold(now sim.Time) sim.Time {
-	if ob.cfg.Threshold != nil {
-		return ob.cfg.Threshold.Threshold(now)
-	}
-	return ob.cfg.StragglerRTT
-}
-
-// setStraggler updates a participant's exclusion state, reporting
-// whether the participant was newly excluded.
-func (ob *OrderingBuffer) setStraggler(st *mpState, v bool, rtt, thr sim.Time, timeout bool) bool {
-	excluded := v && !st.straggler
-	if excluded {
-		ob.StragglerEvents++
-	}
-	if v != st.straggler {
-		if ob.cfg.OnStraggler != nil {
-			ob.cfg.OnStraggler(StragglerEvent{
-				MP: st.id, Straggler: v, RTT: rtt, Threshold: thr, Timeout: timeout, At: ob.cfg.Sched.Now(),
-			})
-		}
-		if f := ob.cfg.Flight; f.Enabled() {
-			var bits int64
-			if v {
-				bits |= flight.StragglerExcluded
-			}
-			if timeout {
-				bits |= flight.StragglerTimeout
-			}
-			f.Emit(flight.Event{
-				At: ob.cfg.Sched.Now(), Kind: flight.KindStraggler,
-				MP: st.id, Aux: int64(rtt), Aux2: bits,
-			})
-		}
-	}
-	st.straggler = v
-	return excluded
 }
 
 // Queued reports trades currently held.
@@ -371,121 +140,26 @@ func (ob *OrderingBuffer) Stragglers() []market.ParticipantID {
 
 // Watermark returns the current watermark of a participant.
 func (ob *OrderingBuffer) Watermark(p market.ParticipantID) (market.DeliveryClock, bool) {
-	st, ok := ob.state[p]
-	if !ok {
+	st := ob.lookup(p)
+	if st == nil {
 		return market.DeliveryClock{}, false
 	}
 	return st.wm, true
 }
 
-// releasable reports whether a trade with clock dc can be forwarded:
-// every active participant's watermark must be *strictly* greater, so
-// no in-flight trade can still order ahead of (or tie with) it. This
-// full scan is the legacy (heap-mode) gate; the bucketed queue answers
-// the same question against the cached minimum.
-func (ob *OrderingBuffer) releasable(dc market.DeliveryClock) bool {
-	for _, st := range ob.order {
-		if st.straggler {
-			continue
-		}
-		if !dc.Less(st.wm) {
-			return false
-		}
-	}
-	return true
-}
-
-// admissible is the release-gate check for the configured queue kind.
-func (ob *OrderingBuffer) admissible(dc market.DeliveryClock) bool {
-	if ob.cfg.Queue == QueueHeap {
-		return ob.releasable(dc)
-	}
-	if ob.gateDirty {
-		ob.recomputeGate()
-	}
-	return dc.Less(ob.gate)
-}
-
-// gateUpdate maintains the cached gate across one participant's
-// contribution change old→new. While the cache is valid, old ≥ gate
-// for every participant (gate is the minimum of the contributions), so
-// the cases below cover everything: a contribution dropping below the
-// gate *is* the new minimum; one moving onto or off the gate value
-// adjusts the minimum's multiplicity, and only when the last holder
-// leaves can the minimum rise (recompute lazily); any other move
-// cannot touch it. Tracking the multiplicity matters: in steady state
-// every participant sits at the same watermark, and without it each
-// advance off the shared minimum would look like a potential rise.
-func (ob *OrderingBuffer) gateUpdate(old, new market.DeliveryClock) {
-	if ob.gateDirty || old == new {
-		return
-	}
-	if new.Less(ob.gate) {
-		ob.gate, ob.gateN = new, 1
-		return
-	}
-	if new == ob.gate {
-		ob.gateN++
-	}
-	if old == ob.gate {
-		ob.gateN--
-		if ob.gateN == 0 {
-			ob.gateDirty = true
-		}
-	}
-}
-
-// recomputeGate refreshes the cached minimum contribution (straggler
-// exclusions read as MaxDeliveryClock) and its multiplicity.
-func (ob *OrderingBuffer) recomputeGate() {
-	gate := market.MaxDeliveryClock
-	n := 0
-	for _, st := range ob.order {
-		c := ob.contribution(st)
-		switch {
-		case c.Less(gate):
-			gate, n = c, 1
-		case c == gate:
-			n++
-		}
-	}
-	ob.gate = gate
-	ob.gateN = n
-	ob.gateDirty = false
-}
-
-// contribution is a participant's effective contribution to the
-// release gate: its watermark, or MaxDeliveryClock while excluded.
-func (ob *OrderingBuffer) contribution(st *mpState) market.DeliveryClock {
-	if st.straggler {
-		return market.MaxDeliveryClock
-	}
-	return st.wm
-}
-
-// noteUpdate records a gate-contribution change during coalescing.
-func (ob *OrderingBuffer) noteUpdate(origin market.ParticipantID, old, new market.DeliveryClock) {
-	if old == new {
-		return
-	}
-	ob.updates = append(ob.updates, wmUpdate{origin: origin, old: old, new: new})
-}
-
-// drain forwards every releasable trade. cause is the participant whose
-// state change triggered this pass (trade/heartbeat sender, shard
-// origin, or excluded straggler): a trade that was already waiting
-// before this pass and releases now was, by elimination, gated on
-// cause's watermark — only cause's gate state changed — so cause is
-// exactly "the last watermark to pass" and becomes the trade's hold
-// attribution. Trades the triggering event itself enqueued release with
-// zero hold and no blocker.
+// drain forwards every queued trade whose clock is strictly below the
+// gate minimum, so no in-flight trade can still order ahead of (or tie
+// with) it. cause is the participant whose state change triggered this
+// pass (trade/heartbeat sender, shard origin, or excluded straggler): a
+// trade that was already waiting before this pass and releases now was,
+// by elimination, gated on cause's watermark — only cause's gate state
+// changed — so cause is exactly "the last watermark to pass" and becomes
+// the trade's hold attribution. Trades the triggering event itself
+// enqueued release with zero hold and no blocker.
 func (ob *OrderingBuffer) drain(cause market.ParticipantID) {
-	if ob.coalescing {
-		return // deferred to EndCoalesce
-	}
 	for {
 		t := ob.queue.Peek()
-		if t == nil || !ob.admissible(t.DC) {
+		if t == nil || !t.DC.Less(ob.minimum()) {
 			return
 		}
 		ob.queue.Pop()
@@ -512,47 +186,6 @@ func (ob *OrderingBuffer) forward(t *market.Trade, cause market.ParticipantID) {
 	}
 	ob.Forwarded++
 	ob.cfg.Forward(t)
-}
-
-// BeginCoalesce opens a coalesced window: watermark and straggler
-// updates are applied immediately but drains are deferred until
-// EndCoalesce, which runs a single pass over the queue. ShardedOB.Tick
-// uses it so N shard-minimum heartbeats per tick cost one drain, not N.
-func (ob *OrderingBuffer) BeginCoalesce() {
-	ob.coalescing = true
-	ob.updates = ob.updates[:0]
-}
-
-// EndCoalesce closes the window and drains once. Hold attribution is
-// preserved exactly: each released trade names the origin of the last
-// recorded update whose contribution crossed the trade's clock — the
-// same "last watermark to pass" the per-event drains would have named.
-func (ob *OrderingBuffer) EndCoalesce() {
-	ob.coalescing = false
-	for {
-		t := ob.queue.Peek()
-		if t == nil || !ob.admissible(t.DC) {
-			return
-		}
-		ob.queue.Pop()
-		ob.forward(t, ob.causeFor(t.DC))
-	}
-}
-
-// causeFor finds the latest coalesced update that moved a gate
-// contribution from at-or-below dc to strictly above it — the update
-// that unblocked a trade tagged dc.
-func (ob *OrderingBuffer) causeFor(dc market.DeliveryClock) market.ParticipantID {
-	for i := len(ob.updates) - 1; i >= 0; i-- {
-		u := &ob.updates[i]
-		if !dc.Less(u.old) && dc.Less(u.new) {
-			return u.origin
-		}
-	}
-	if n := len(ob.updates); n > 0 {
-		return ob.updates[n-1].origin
-	}
-	return 0
 }
 
 // Crash models an OB failure: all queued trades are dropped (the system

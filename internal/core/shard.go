@@ -15,22 +15,14 @@ import (
 // advances. The master therefore processes O(shards) heartbeats instead
 // of O(participants).
 type OBShard struct {
-	cfg   ShardConfig
-	state map[market.ParticipantID]*mpState
-	// order mirrors state in config order; all scans that can influence
-	// emission or event order walk it (determinism, as in OrderingBuffer).
-	order []*mpState
-	last  market.DeliveryClock // last minimum emitted to the master
-	sent  bool
-	start sim.Time
+	cfg ShardConfig
+	gate
+	last market.DeliveryClock // last minimum emitted to the master
+	sent bool
 
 	// HeartbeatsIn counts member heartbeats absorbed; HeartbeatsOut
 	// counts synthetic heartbeats emitted to the master.
 	HeartbeatsIn, HeartbeatsOut int
-
-	// StragglerEvents counts activations of straggler mitigation,
-	// mirroring OrderingBuffer.StragglerEvents.
-	StragglerEvents int
 }
 
 // ShardConfig configures an OBShard.
@@ -68,153 +60,51 @@ type ShardConfig struct {
 
 // NewOBShard validates and builds a shard.
 func NewOBShard(cfg ShardConfig) *OBShard {
-	if len(cfg.Members) == 0 {
-		panic("core: shard needs members")
-	}
 	if cfg.EmitTrade == nil || cfg.EmitHeartbeat == nil || cfg.Sched == nil {
 		panic("core: shard needs EmitTrade, EmitHeartbeat and Sched")
 	}
-	if cfg.StragglerRTT > 0 && cfg.GenTime == nil {
-		panic("core: straggler mitigation needs GenTime")
-	}
-	if cfg.Threshold != nil && cfg.StragglerRTT <= 0 {
-		panic("core: adaptive threshold needs StragglerRTT > 0 as its cap")
-	}
-	s := &OBShard{cfg: cfg, state: make(map[market.ParticipantID]*mpState, len(cfg.Members))}
-	for _, m := range cfg.Members {
-		if _, dup := s.state[m]; dup {
-			panic(fmt.Sprintf("core: duplicate member %d", m))
-		}
-		st := &mpState{id: m}
-		s.state[m] = st
-		s.order = append(s.order, st)
-	}
-	s.start = cfg.Sched.Now()
-	return s
+	return &OBShard{cfg: cfg, gate: newGate(cfg.Members, gateConfig{
+		Sched:        cfg.Sched,
+		StragglerRTT: cfg.StragglerRTT,
+		Threshold:    cfg.Threshold,
+		GenTime:      cfg.GenTime,
+		OnStraggler:  cfg.OnStraggler,
+		Flight:       cfg.Flight,
+	})}
 }
 
 // OnTrade forwards a member trade to the master, also treating its tag
 // as a watermark advance for the sender.
 func (s *OBShard) OnTrade(t *market.Trade) {
-	if st, ok := s.state[t.MP]; ok && st.wm.Less(t.DC) {
-		st.wm = t.DC
-	}
+	s.advance(t.MP, t.DC)
 	s.cfg.EmitTrade(t)
 	s.maybeEmitMin(t.MP)
 }
 
 // OnHeartbeat absorbs a member heartbeat.
 func (s *OBShard) OnHeartbeat(h market.Heartbeat) {
-	st, ok := s.state[h.MP]
-	if !ok {
+	if !s.report(h, false) {
 		return
 	}
 	s.HeartbeatsIn++
-	now := s.cfg.Sched.Now()
-	if f := s.cfg.Flight; f.Enabled() {
-		var staleness sim.Time
-		if st.hasHB {
-			staleness = now - st.lastHB
-		}
-		f.Emit(flight.Event{
-			At: now, Kind: flight.KindWatermark,
-			MP: h.MP, DC: h.DC, Aux: int64(staleness),
-			Hop: h.Ctx.Hop,
-		})
-	}
-	if st.wm.Less(h.DC) {
-		st.wm = h.DC
-	}
-	st.lastHB = now
-	st.hasHB = true
-	if s.cfg.StragglerRTT > 0 && h.DC.HasDelivered() {
-		st.rtt = now - s.cfg.GenTime(h.DC.Point) - h.DC.Elapsed
-		if s.cfg.Threshold != nil {
-			s.cfg.Threshold.Observe(h.MP, st.rtt, now)
-		}
-		thr := s.threshold(now)
-		s.setStraggler(st, st.rtt > thr, st.rtt, thr, false)
-	}
 	s.maybeEmitMin(h.MP)
 }
 
 // Tick performs straggler-timeout checks and re-evaluates the minimum.
 func (s *OBShard) Tick() {
-	if s.cfg.StragglerRTT > 0 {
-		now := s.cfg.Sched.Now()
-		thr := s.threshold(now)
-		for _, st := range s.order {
-			last := st.lastHB
-			if !st.hasHB {
-				last = s.start
-			}
-			if now-last > thr {
-				if s.setStraggler(st, true, now-last, thr, true) {
-					s.maybeEmitMin(st.id)
-				}
-			}
-		}
-	}
+	s.sweep(s.maybeEmitMin)
 	s.maybeEmitMin(0)
-}
-
-// threshold mirrors OrderingBuffer.threshold for this shard's members.
-func (s *OBShard) threshold(now sim.Time) sim.Time {
-	if s.cfg.Threshold != nil {
-		return s.cfg.Threshold.Threshold(now)
-	}
-	return s.cfg.StragglerRTT
-}
-
-func (s *OBShard) setStraggler(st *mpState, v bool, rtt, thr sim.Time, timeout bool) bool {
-	excluded := v && !st.straggler
-	if excluded {
-		s.StragglerEvents++
-	}
-	if v != st.straggler {
-		if s.cfg.OnStraggler != nil {
-			s.cfg.OnStraggler(StragglerEvent{
-				MP: st.id, Straggler: v, RTT: rtt, Threshold: thr, Timeout: timeout, At: s.cfg.Sched.Now(),
-			})
-		}
-		if f := s.cfg.Flight; f.Enabled() {
-			var bits int64
-			if v {
-				bits |= flight.StragglerExcluded
-			}
-			if timeout {
-				bits |= flight.StragglerTimeout
-			}
-			f.Emit(flight.Event{
-				At: s.cfg.Sched.Now(), Kind: flight.KindStraggler,
-				MP: st.id, Aux: int64(rtt), Aux2: bits,
-			})
-		}
-	}
-	st.straggler = v
-	return excluded
 }
 
 // Min returns the shard's current minimum watermark over non-straggler
 // members (MaxDeliveryClock if all members are stragglers).
-func (s *OBShard) Min() market.DeliveryClock {
-	min := market.MaxDeliveryClock
-	for _, st := range s.order {
-		if st.straggler {
-			continue
-		}
-		if st.wm.Less(min) {
-			min = st.wm
-		}
-	}
-	return min
-}
+func (s *OBShard) Min() market.DeliveryClock { return s.minimum() }
 
 // maybeEmitMin re-emits the shard minimum when it changed; origin is
 // the member whose report or exclusion triggered the re-evaluation
 // (0 for a plain maintenance tick).
 func (s *OBShard) maybeEmitMin(origin market.ParticipantID) {
-	min := s.Min()
+	min := s.minimum()
 	if s.sent && s.last == min {
 		return // unchanged — a regression (straggler re-admission) must be emitted
 	}
@@ -254,10 +144,6 @@ type ShardedOBConfig struct {
 
 	// Flight is shared by the master and every shard.
 	Flight *flight.Recorder
-
-	// Queue selects the master OB's internal priority queue (see
-	// OrderingBufferConfig.Queue).
-	Queue QueueKind
 }
 
 // NewShardedOB distributes participants round-robin over NumShards
@@ -279,7 +165,6 @@ func NewShardedOB(cfg ShardedOBConfig) *ShardedOB {
 		Forward:      cfg.Forward,
 		Sched:        cfg.Sched,
 		Flight:       cfg.Flight,
-		Queue:        cfg.Queue,
 	})
 	s := &ShardedOB{Master: master, route: make(map[market.ParticipantID]*OBShard, len(cfg.Participants))}
 	for i := 0; i < cfg.NumShards; i++ {
@@ -321,20 +206,10 @@ func (s *ShardedOB) OnHeartbeat(h market.Heartbeat) {
 	sh.OnHeartbeat(h)
 }
 
-// Tick ticks every shard and the master. Shard-minimum heartbeats
-// emitted during the pass are coalesced at the master: all watermark
-// updates apply first, then a single drain releases everything they
-// admit — N shards cost one release pass per tick instead of N× gate
-// churn. The release order is unchanged (the admissible set is always
-// a delivery-clock prefix of the queue, so one drain after N updates
-// forwards exactly what N interleaved drains would have, in the same
-// order), and hold attribution is preserved by the coalesced update
-// log (see EndCoalesce).
+// Tick ticks every shard, then the master.
 func (s *ShardedOB) Tick() {
-	s.Master.BeginCoalesce()
 	for _, sh := range s.Shards {
 		sh.Tick()
 	}
-	s.Master.EndCoalesce()
 	s.Master.Tick()
 }

@@ -73,12 +73,6 @@ type Config struct {
 	OBShards     int      // ≤1 = single ordering buffer
 	SyncOffset   sim.Time // >0 enables §4.2.6 sync-assisted delivery
 
-	// OBQueue selects the ordering buffer's internal priority queue:
-	// core.QueueBucketed (default) or core.QueueHeap (the legacy
-	// reference). internal/check's differential oracle re-runs seeded
-	// scenarios under QueueHeap to pin equivalence.
-	OBQueue core.QueueKind
-
 	// CloudEx one-way thresholds (defaults 60µs each).
 	C1, C2 sim.Time
 

@@ -316,7 +316,6 @@ func (h *harness) buildScheme() {
 				GenTime:      genTime,
 				OnStraggler:  h.cfg.Hooks.OnStraggler,
 				Flight:       h.cesFlight,
-				Queue:        h.cfg.OBQueue,
 			})
 		} else {
 			h.ob = core.NewOrderingBuffer(core.OrderingBufferConfig{
@@ -328,7 +327,6 @@ func (h *harness) buildScheme() {
 				GenTime:      genTime,
 				OnStraggler:  h.cfg.Hooks.OnStraggler,
 				Flight:       h.cesFlight,
-				Queue:        h.cfg.OBQueue,
 			})
 		}
 	case Direct:

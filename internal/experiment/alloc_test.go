@@ -9,9 +9,8 @@ import (
 // TestPipelineZeroAlloc pins the steady-state allocation budget of the
 // tag→enqueue→release path at zero allocs per tick: with the trade
 // pool, batch recycling, and the bucketed ordering queue warm, a
-// market tick (batch delivery → tag → enqueue → heartbeat coalesce →
-// release) must not touch the heap. A failure names the regressing
-// configuration; the per-stage breakdown lives in the failure of the
+// market tick (batch delivery → tag → enqueue → heartbeats → release)
+// must not touch the heap. A failure names the regressing configuration; the per-stage breakdown lives in the failure of the
 // corresponding unit (wire: TestWireZeroAlloc; queue: core bench).
 func TestPipelineZeroAlloc(t *testing.T) {
 	cases := []struct {

@@ -1,17 +1,11 @@
 // Benchmark trajectory: machine-readable performance snapshots
 // (BENCH_<date>.json) so speed is a tracked curve, not an anecdote.
 //
-// The report has four sections:
+// The report has three sections:
 //
 //   - pipeline: the tag→enqueue→release micro-benchmark — one release
 //     buffer feeding an ordering buffer gated by P participant
-//     watermarks, with pooled trades, recycled batches, a bucketed
-//     queue, and coalesced heartbeat drains.
-//   - pipeline_legacy: the identical workload under the pre-change
-//     configuration (container/heap queue, per-heartbeat drains, a
-//     fresh Trade and Batch allocation per operation). The in-run
-//     ratio pipeline/pipeline_legacy is hardware-independent and is
-//     the number the ROADMAP's ≥3× target refers to.
+//     watermarks, with pooled trades and recycled batches.
 //   - sim: the seeded end-to-end exchange simulation (wall-clock
 //     trades/sec plus simulated hold-time quantiles from an
 //     internal/metrics histogram).
@@ -38,7 +32,7 @@ import (
 // BenchSchemaVersion identifies the BENCH_*.json layout. Bump it on
 // any field change; ParseBenchReport rejects other versions so CI
 // comparisons never mix layouts silently.
-const BenchSchemaVersion = 1
+const BenchSchemaVersion = 2
 
 // BenchReport is one benchmark trajectory snapshot.
 type BenchReport struct {
@@ -50,14 +44,9 @@ type BenchReport struct {
 	GOARCH    string `json:"goarch"`
 	Short     bool   `json:"short"` // reduced iteration counts (CI smoke)
 
-	Pipeline       PipelineResult `json:"pipeline"`
-	PipelineLegacy PipelineResult `json:"pipeline_legacy"`
-	// PipelineSpeedup = Pipeline.TradesPerSec / PipelineLegacy.TradesPerSec,
-	// measured in the same process on the same machine.
-	PipelineSpeedup float64 `json:"pipeline_speedup"`
-
-	Sim  SimBenchResult  `json:"sim"`
-	Wire WireBenchResult `json:"wire"`
+	Pipeline PipelineResult  `json:"pipeline"`
+	Sim      SimBenchResult  `json:"sim"`
+	Wire     WireBenchResult `json:"wire"`
 }
 
 // PipelineResult measures the tag→enqueue→release path.
@@ -178,10 +167,6 @@ func RunBench(o BenchOpts) *BenchReport {
 		Short:     o.Short,
 	}
 	r.Pipeline = RunPipelineBench(PipelineOpts{Seed: o.Seed}, steps, o.Now)
-	r.PipelineLegacy = RunPipelineBench(PipelineOpts{Seed: o.Seed, Legacy: true}, steps, o.Now)
-	if r.PipelineLegacy.TradesPerSec > 0 {
-		r.PipelineSpeedup = r.Pipeline.TradesPerSec / r.PipelineLegacy.TradesPerSec
-	}
 	r.Sim = RunSimBench(o.Seed, simDur, o.Now)
 	r.Wire = RunWireBench(wireIters, o.Now)
 	return r
@@ -194,11 +179,7 @@ type PipelineOpts struct {
 	// scale of the paper's Figure 12 — a gate width where per-release
 	// watermark scans actually cost something).
 	Participants int
-	// Legacy reproduces the pre-change configuration: heap queue,
-	// per-heartbeat drains, and a fresh Trade/Batch allocation per
-	// operation instead of pools.
-	Legacy bool
-	Seed   uint64
+	Seed         uint64
 }
 
 // benchSched is the pipeline's manual clock. The harness keeps pacing
@@ -216,7 +197,6 @@ func (s *benchSched) At(at sim.Time, fn func()) {
 // trade, the OB enqueues it, and trailing participant watermarks
 // release it one pacing interval later. Deterministic in Seed.
 type Pipeline struct {
-	opts  PipelineOpts
 	sched *benchSched
 	rb    *core.ReleaseBuffer
 	ob    *core.OrderingBuffer
@@ -237,7 +217,6 @@ func NewPipeline(o PipelineOpts) *Pipeline {
 		o.Participants = 100
 	}
 	p := &Pipeline{
-		opts:  o,
 		sched: &benchSched{},
 		hold:  metrics.NewHistogram(),
 		delta: 20 * sim.Microsecond,
@@ -246,15 +225,10 @@ func NewPipeline(o PipelineOpts) *Pipeline {
 	for i := 0; i < o.Participants; i++ {
 		p.parts = append(p.parts, market.ParticipantID(i+1))
 	}
-	queue := core.QueueBucketed
-	if o.Legacy {
-		queue = core.QueueHeap
-	}
 	p.ob = core.NewOrderingBuffer(core.OrderingBufferConfig{
 		Participants: p.parts,
 		Forward:      p.onForward,
 		Sched:        p.sched,
-		Queue:        queue,
 	})
 	p.rb = core.NewReleaseBuffer(core.ReleaseBufferConfig{
 		MP:             1,
@@ -262,7 +236,7 @@ func NewPipeline(o PipelineOpts) *Pipeline {
 		Sched:          p.sched,
 		Deliver:        p.onBatch,
 		Send:           p.onSend,
-		RecycleBatches: !o.Legacy,
+		RecycleBatches: true,
 	})
 	return p
 }
@@ -270,10 +244,8 @@ func NewPipeline(o PipelineOpts) *Pipeline {
 // Step advances one market tick end to end. Participant heartbeats
 // trail delivery by one batch (a heartbeat sent just before point k+1
 // arrived still reports ⟨k, δ⟩), so every trade is held for exactly
-// one pacing interval — the queue is never trivially empty. The new
-// path coalesces the P heartbeat drains into one pass, as
-// ShardedOB.Tick does; the legacy path drains after every heartbeat,
-// as the pre-change OB did. After the confirmations, the tick itself
+// one pacing interval — the queue is never trivially empty. After the
+// confirmations, the tick itself
 // arrives: MP 1 reacts through its fully modeled release buffer, and
 // every other participant trades with probability 1/32, its trade
 // pre-tagged with sub-δ elapsed jitter by its own (unmodeled) RB.
@@ -282,14 +254,8 @@ func (p *Pipeline) Step() {
 	p.point++
 	if p.point > 1 {
 		prev := market.DeliveryClock{Point: p.point - 1, Elapsed: p.delta}
-		if !p.opts.Legacy {
-			p.ob.BeginCoalesce()
-		}
 		for _, id := range p.parts {
 			p.ob.OnHeartbeat(market.Heartbeat{MP: id, DC: prev, Sent: p.sched.now})
-		}
-		if !p.opts.Legacy {
-			p.ob.EndCoalesce()
 		}
 	}
 	p.rb.OnData(market.DataPoint{
@@ -300,7 +266,7 @@ func (p *Pipeline) Step() {
 		if p.rand()&31 != 0 {
 			continue
 		}
-		t := p.newTrade()
+		t := p.pool.Get()
 		t.MP = id
 		p.seq++
 		t.Seq = p.seq
@@ -325,7 +291,7 @@ func (p *Pipeline) Released() int64 { return p.released }
 func (p *Pipeline) HoldHist() *metrics.Histogram { return p.hold }
 
 func (p *Pipeline) onBatch(b *market.Batch) {
-	t := p.newTrade()
+	t := p.pool.Get()
 	t.MP = 1
 	p.seq++
 	t.Seq = p.seq
@@ -338,13 +304,6 @@ func (p *Pipeline) onBatch(b *market.Batch) {
 	p.rb.OnTrade(t)
 }
 
-func (p *Pipeline) newTrade() *market.Trade {
-	if p.opts.Legacy {
-		return &market.Trade{}
-	}
-	return p.pool.Get()
-}
-
 func (p *Pipeline) onSend(v any) {
 	if t, ok := v.(*market.Trade); ok {
 		p.ob.OnTrade(t)
@@ -354,9 +313,7 @@ func (p *Pipeline) onSend(v any) {
 func (p *Pipeline) onForward(t *market.Trade) {
 	p.released++
 	p.hold.Observe(int64(t.Forwarded - t.Enqueued))
-	if !p.opts.Legacy {
-		p.pool.Put(t)
-	}
+	p.pool.Put(t)
 }
 
 // rand is an inline xorshift64 — deterministic, allocation-free.

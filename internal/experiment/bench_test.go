@@ -35,16 +35,6 @@ func goldenReport() *experiment.BenchReport {
 			HoldP50:      20 * sim.Microsecond,
 			HoldP99:      20 * sim.Microsecond,
 		},
-		PipelineLegacy: experiment.PipelineResult{
-			Participants: 100,
-			Trades:       12345,
-			TradesPerSec: 0.43e6,
-			NsPerOp:      2325.6,
-			AllocsPerOp:  2.5,
-			HoldP50:      20 * sim.Microsecond,
-			HoldP99:      20 * sim.Microsecond,
-		},
-		PipelineSpeedup: 4.07,
 		Sim: experiment.SimBenchResult{
 			Duration:     50 * sim.Millisecond,
 			Trades:       4321,
@@ -166,12 +156,6 @@ func TestRunBenchShort(t *testing.T) {
 	}
 	if got.Pipeline.TradesPerSec <= 0 || got.Pipeline.Trades == 0 {
 		t.Errorf("pipeline section degenerate: %+v", got.Pipeline)
-	}
-	if got.PipelineLegacy.TradesPerSec <= 0 {
-		t.Errorf("legacy pipeline section degenerate: %+v", got.PipelineLegacy)
-	}
-	if got.PipelineSpeedup <= 0 {
-		t.Errorf("speedup not computed: %v", got.PipelineSpeedup)
 	}
 	if got.Sim.TradesPerSec <= 0 || got.Sim.Trades == 0 {
 		t.Errorf("sim section degenerate on the 50ms seeded run: %+v", got.Sim)

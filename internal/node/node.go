@@ -12,6 +12,7 @@ package node
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -305,10 +306,11 @@ func (c *CES) scheduleProbes() {
 
 // Metrics exposes the node's operational registry: counters
 // (data_points, batches_sealed, trades_received, heartbeats_received,
-// retx_requests, trades_forwarded, executions, straggler_transitions,
-// probes_sent, probe_rtt_invalid), live gauges (ob_queued, stragglers,
-// batches_delivered_min, adaptive_threshold_ns when Adaptive is on,
-// per-MP wm_lag_points_mp_<id> and straggler_mp_<id>), and histograms
+// retx_requests, retx_rejected, trades_forwarded, executions,
+// straggler_transitions, probes_sent, probe_rtt_invalid), live gauges
+// (ob_queued, stragglers, batches_delivered_min, adaptive_threshold_ns
+// when Adaptive is on, per-MP wm_lag_points_mp_<id> and
+// straggler_mp_<id>), and histograms
 // (ob_hold_ns, response_ns, hb_staleness_ns, probe_rtt_ns). Mount
 // Metrics().Handler() (JSON) or Metrics().PromHandler() (Prometheus
 // text) on any HTTP mux.
@@ -468,6 +470,9 @@ func (c *CES) onMessage(v any) {
 }
 
 // retransmit resends lost points to one MP (the out-of-band slow path).
+// The range comes straight off the socket: point ids start at 1, so an
+// empty or inverted range is rejected, and To is clamped to what has
+// been generated before it sizes anything.
 func (c *CES) retransmit(r core.RetxRequest) {
 	idx := -1
 	for i, mp := range c.cfg.MPs {
@@ -479,10 +484,14 @@ func (c *CES) retransmit(r core.RetxRequest) {
 	if idx < 0 {
 		return
 	}
+	if r.From < 1 || r.To < r.From {
+		c.reg.Counter("retx_rejected").Inc()
+		return
+	}
 	c.mu.Lock()
-	pts := make([]market.DataPoint, 0, int(r.To-r.From)+1)
-	for id := r.From; id <= r.To && int(id) <= len(c.genPoints); id++ {
-		pts = append(pts, c.genPoints[id-1])
+	var pts []market.DataPoint
+	if to := min(r.To, market.PointID(len(c.genPoints))); r.From <= to {
+		pts = slices.Clone(c.genPoints[r.From-1 : to])
 	}
 	c.mu.Unlock()
 	for _, dp := range pts {
