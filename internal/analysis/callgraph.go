@@ -272,6 +272,12 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	fn, _ := obj.(*types.Func)
+	if fn != nil {
+		// A method of an instantiated generic type (or an instantiated
+		// generic function) is a distinct object; the graph's node is
+		// the generic declaration it came from.
+		fn = fn.Origin()
+	}
 	return fn
 }
 

@@ -182,6 +182,13 @@ func Default() *Config {
 			{Pkg: "internal/wire", Func: "AppendTrade"},
 			{Pkg: "internal/wire", Func: "AppendHeartbeat"},
 			{Pkg: "internal/wire", Func: "AppendMarketData"},
+			// One simulated event and one simulated message: schedule,
+			// dispatch, and a link send (the runtime probes are
+			// TestKernelEventZeroAlloc and TestLinkSendZeroAlloc).
+			{Pkg: "internal/sim", Func: "(Kernel).At"},
+			{Pkg: "internal/sim", Func: "(Kernel).Schedule"},
+			{Pkg: "internal/sim", Func: "(Kernel).step"},
+			{Pkg: "internal/netsim", Func: "(Link).Send"},
 		},
 		DetSurfaces: []string{
 			// The seeded replay pipeline: identical seeds must produce
@@ -217,6 +224,8 @@ func Default() *Config {
 			"internal/market",
 			"internal/wire",
 			"internal/clock",
+			"internal/sim",
+			"internal/netsim",
 		},
 	}
 }

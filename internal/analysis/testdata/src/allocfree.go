@@ -11,7 +11,20 @@ var retained [][]byte
 func DecodeInto(dst, buf []byte) []byte {
 	dst = append(dst, buf...) // self-append: amortized, not a finding
 	stash(buf)
+	var seen set[byte]
+	seen.add(buf[0])
 	return label(buf)
+}
+
+// set is generic: a call on an instantiation (set[byte]) must resolve to
+// the declared method, or the walk stops at the call and misses it.
+type set[T comparable] struct{ m map[T]bool }
+
+func (s *set[T]) add(v T) {
+	if s.m == nil {
+		s.m = make(map[T]bool) // want "\[allocfree\] make\(…\) allocates in \(set\[T\]\).add \(hot path via DecodeInto\)"
+	}
+	s.m[v] = true
 }
 
 func stash(buf []byte) {

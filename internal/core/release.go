@@ -46,6 +46,11 @@ type ReleaseBufferConfig struct {
 	// Send transmits a message (tagged *market.Trade, market.Heartbeat,
 	// or RetxRequest) towards the ordering buffer / CES.
 	Send func(v any)
+	// SendHeartbeat, when non-nil, transmits heartbeats instead of Send.
+	// A heartbeat is a value; passing it through Send's any boxes it on
+	// the heap, twice per τ per RB, and a transport that can carry the
+	// value itself takes it here.
+	SendHeartbeat func(hb market.Heartbeat)
 
 	// Flight, if non-nil, receives deliver/submit lifecycle events.
 	// Deliver events carry the measured inter-batch gap (§4.1.2) so a
@@ -56,8 +61,8 @@ type ReleaseBufferConfig struct {
 	// free list after Deliver returns, making steady-state batch
 	// delivery allocation-free. Deliver must then treat the batch and
 	// its Points slice as borrowed: both are reused for a later batch
-	// as soon as the callback returns. Harnesses that retain batches
-	// (e.g. the exchange tradeLog) leave this off.
+	// as soon as the callback returns. A harness that retains batches
+	// leaves this off.
 	RecycleBatches bool
 }
 
@@ -150,10 +155,15 @@ func (rb *ReleaseBuffer) Resume() {
 }
 
 func (rb *ReleaseBuffer) sendHeartbeat() {
-	rb.cfg.Send(market.Heartbeat{
+	hb := market.Heartbeat{
 		MP: rb.cfg.MP, DC: rb.dc.Read(rb.localNow()), Sent: rb.localNow(),
 		Ctx: market.TraceCtx{Origin: market.NodeOfMP(rb.cfg.MP)},
-	})
+	}
+	if rb.cfg.SendHeartbeat != nil {
+		rb.cfg.SendHeartbeat(hb)
+		return
+	}
+	rb.cfg.Send(hb)
 }
 
 // Clock returns the current delivery clock reading.

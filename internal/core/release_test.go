@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"dbo/internal/clock"
@@ -186,6 +187,49 @@ func TestRBHeartbeats(t *testing.T) {
 		if beats[i].MP != 1 {
 			t.Fatal("wrong MP")
 		}
+	}
+}
+
+// SendHeartbeat, when set, takes the heartbeats off Send — the same
+// values, in the same order — and leaves trades on it; when it is nil
+// Send carries both.
+func TestRBSendHeartbeatCarriesWhatSendWould(t *testing.T) {
+	t.Parallel()
+	run := func(typed bool) (viaSend, viaTyped []market.Heartbeat, trades int) {
+		k := sim.NewKernel(1)
+		cfg := ReleaseBufferConfig{
+			MP: 3, Delta: 20 * sim.Microsecond, Tau: 10 * sim.Microsecond, Sched: k,
+			Deliver: func(*market.Batch) {},
+			Send: func(v any) {
+				switch m := v.(type) {
+				case market.Heartbeat:
+					viaSend = append(viaSend, m)
+				case *market.Trade:
+					trades++
+				}
+			},
+		}
+		if typed {
+			cfg.SendHeartbeat = func(hb market.Heartbeat) { viaTyped = append(viaTyped, hb) }
+		}
+		rb := NewReleaseBuffer(cfg)
+		rb.Start()
+		k.At(0, func() { rb.OnData(dp(1, 1, true)) })
+		k.At(35*sim.Microsecond, func() { rb.OnTrade(&market.Trade{MP: 3, Seq: 1}) })
+		k.RunUntil(100 * sim.Microsecond)
+		return viaSend, viaTyped, trades
+	}
+	want, none, trades := run(false)
+	if len(want) != 10 || len(none) != 0 || trades != 1 {
+		t.Fatalf("SendHeartbeat nil: %d heartbeats and %d trades via Send, %d via SendHeartbeat; want 10, 1, 0",
+			len(want), trades, len(none))
+	}
+	viaSend, got, trades := run(true)
+	if len(viaSend) != 0 || trades != 1 {
+		t.Fatalf("SendHeartbeat set: Send still saw %d heartbeats and %d trades; want 0 and 1", len(viaSend), trades)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("SendHeartbeat received %+v, Send would have received %+v", got, want)
 	}
 }
 

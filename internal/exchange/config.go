@@ -241,7 +241,8 @@ type Hooks struct {
 	// full messages rather than summaries.
 
 	// OnBatch fires when an RB delivers a complete batch to its MP
-	// (DBO scheme only). The batch must not be mutated.
+	// (DBO scheme only). The batch must not be mutated, or retained past
+	// the call: the RB recycles it and its Points for a later batch.
 	OnBatch func(mp int, b *market.Batch, at sim.Time)
 	// OnTag fires for every message an RB sends on the reverse path
 	// after delivery-clock tagging: *market.Trade, market.Heartbeat, or

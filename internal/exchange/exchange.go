@@ -121,6 +121,11 @@ type harness struct {
 	submitted  map[market.TradeKey]*market.Trade
 	tradeLog   []*market.Trade
 	beats      int
+
+	// Boxes for heartbeats in flight on the reverse links, recycled when
+	// they arrive. Reverse links never duplicate (wireFaults), so a box
+	// has one owner from sendHeartbeat to onUpstream.
+	beatBoxes []*market.Heartbeat
 }
 
 // extBase offsets external pseudo-point ids away from market data ids.
@@ -139,6 +144,20 @@ type mpSim struct {
 	rng   *rand.Rand
 	seq   market.TradeSeq
 	local clock.Local
+
+	// Decided trades waiting out their response time. The MP is the
+	// sim.Handler of its own response timers; the kernel event carries
+	// the slot index.
+	pending sim.Slab[pendingTrade]
+}
+
+// pendingTrade is a trade an MP has decided on and will submit once its
+// response time has passed.
+type pendingTrade struct {
+	trigger market.PointID
+	symbol  uint32
+	price   int64
+	rt      sim.Time
 }
 
 func newHarness(cfg Config) *harness {
@@ -296,13 +315,16 @@ func (h *harness) buildScheme() {
 				Local:      h.mps[i].local,
 				Flight:     h.rbFlight[i],
 				Deliver:    func(b *market.Batch) { h.mps[i].onBatch(b) },
+				// Nothing downstream keeps a delivered batch: the MP copies
+				// the points it trades on, and Hooks.OnBatch may not retain.
+				RecycleBatches: true,
 				Send: func(v any) {
-					h.countBeat(v)
 					if h.cfg.Hooks.OnTag != nil {
 						h.cfg.Hooks.OnTag(i, v)
 					}
 					h.paths[i].Rev.Send(v)
 				},
+				SendHeartbeat: func(hb market.Heartbeat) { h.sendHeartbeat(i, hb) },
 			}))
 		}
 		if h.cfg.OBShards > 1 {
@@ -369,9 +391,22 @@ func (h *harness) buildScheme() {
 	}
 }
 
-func (h *harness) countBeat(v any) {
-	if _, ok := v.(market.Heartbeat); ok {
-		h.beats++
+// sendHeartbeat carries RB i's heartbeat to the CES in a recycled box
+// rather than boxing the value afresh for the link's any.
+func (h *harness) sendHeartbeat(i int, hb market.Heartbeat) {
+	h.beats++
+	if h.cfg.Hooks.OnTag != nil {
+		h.cfg.Hooks.OnTag(i, hb)
+	}
+	var box *market.Heartbeat
+	if n := len(h.beatBoxes); n > 0 {
+		box, h.beatBoxes = h.beatBoxes[n-1], h.beatBoxes[:n-1]
+	} else {
+		box = new(market.Heartbeat)
+	}
+	*box = hb
+	if h.paths[i].Rev.Send(box) < 0 {
+		h.beatBoxes = append(h.beatBoxes, box) // dropped: nothing will arrive to free it
 	}
 }
 
@@ -417,8 +452,9 @@ func (h *harness) start() {
 				f.Emit(flight.Event{At: gen, Kind: flight.KindSeal, Point: dp.ID, Batch: dp.Batch})
 			}
 		}
+		var boxed any = dp // boxed once; every link carries the same immutable copy
 		for _, p := range h.paths {
-			p.Fwd.Send(dp)
+			p.Fwd.Send(boxed)
 		}
 		tickNo++
 		if h.cfg.ExternalEvery > 0 && tickNo%h.cfg.ExternalEvery == 0 {
@@ -428,8 +464,9 @@ func (h *harness) start() {
 				h.extCount++
 				ev := externalEvent{ID: extBase + market.PointID(h.extCount), Price: price}
 				h.extGen[ev.ID] = gen
+				var boxed any = ev
 				for _, l := range h.bypass {
-					l.Send(ev)
+					l.Send(boxed)
 				}
 			} else {
 				// Serialized into the super-stream: this tick's data
@@ -513,6 +550,21 @@ func (h *harness) onMarketData(i int, dp market.DataPoint) {
 
 // onUpstream dispatches reverse-path traffic arriving at the CES.
 func (h *harness) onUpstream(v any) {
+	if box, ok := v.(*market.Heartbeat); ok {
+		// Unbox and free the box first; hooks see the value, as OnTag did.
+		hb := *box
+		h.beatBoxes = append(h.beatBoxes, box)
+		if h.cfg.Hooks.OnUpstream != nil {
+			h.cfg.Hooks.OnUpstream(hb, h.k.Now())
+		}
+		hb.Ctx.Hop++ // network ingress at the CES node
+		if h.ob != nil {
+			h.ob.OnHeartbeat(hb)
+		} else if h.shardOB != nil {
+			h.shardOB.OnHeartbeat(hb)
+		}
+		return
+	}
 	if h.cfg.Hooks.OnUpstream != nil {
 		h.cfg.Hooks.OnUpstream(v, h.k.Now())
 	}
@@ -535,13 +587,6 @@ func (h *harness) onUpstream(v any) {
 			h.fba.OnTrade(m)
 		case h.libra != nil:
 			h.libra.OnTrade(m)
-		}
-	case market.Heartbeat:
-		m.Ctx.Hop++ // network ingress at the CES node
-		if h.ob != nil {
-			h.ob.OnHeartbeat(m)
-		} else if h.shardOB != nil {
-			h.shardOB.OnHeartbeat(m)
 		}
 	case core.RetxRequest:
 		// Out-of-band repair on the slow path (Appendix D).
@@ -568,9 +613,7 @@ func (m *mpSim) onBatch(b *market.Batch) {
 		if m.rng.Float64() >= h.cfg.TradeProb {
 			continue
 		}
-		rt := m.drawRT()
-		dp := dp
-		h.k.At(h.k.Now()+rt, func() { m.submit(dp.ID, dp.Symbol, dp.Price, rt) })
+		m.respond(dp.ID, dp.Symbol, dp.Price)
 	}
 }
 
@@ -581,8 +624,21 @@ func (m *mpSim) onExternal(ev externalEvent) {
 	if m.rng.Float64() >= h.cfg.TradeProb {
 		return
 	}
-	rt := m.drawRT()
-	h.k.At(h.k.Now()+rt, func() { m.submit(ev.ID, 1, ev.Price, rt) })
+	m.respond(ev.ID, 1, ev.Price)
+}
+
+// respond draws a response time and schedules the trade's submission
+// for when it has passed, parking the decision in a pending slot.
+func (m *mpSim) respond(trigger market.PointID, symbol uint32, price int64) {
+	p := pendingTrade{trigger: trigger, symbol: symbol, price: price, rt: m.drawRT()}
+	m.h.k.Schedule(m.h.k.Now()+p.rt, m, m.pending.Put(p))
+}
+
+// Fire submits the pending trade in slot i; it is the sim.Handler of
+// the events respond schedules.
+func (m *mpSim) Fire(i int) {
+	p := m.pending.Take(i)
+	m.submit(p.trigger, p.symbol, p.price, p.rt)
 }
 
 func (m *mpSim) drawRT() sim.Time {

@@ -11,7 +11,7 @@ import (
 	"dbo/internal/sim"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/flight_golden.ndjson")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // flightCfg is a small seeded DBO workload whose full trace fits the
 // recorder with no ring drops (drops are deterministic too, but a

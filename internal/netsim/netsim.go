@@ -10,6 +10,10 @@
 //   - packets that are not dropped are delivered in order (FIFO is
 //     enforced per link: a message never overtakes an earlier one), and
 //   - losses are possible and handled out of band by the endpoints.
+//
+// A message in flight is one value-typed kernel event plus a slot in
+// its link's slab; sending allocates nothing once the slab has grown to
+// the link's peak in-flight count.
 package netsim
 
 import (
@@ -36,10 +40,19 @@ func FromTrace(tr *trace.Trace) LatencyFunc { return tr.OneWayAt }
 // additionally duplicate, reorder, window-drop (partition), or elevate
 // (latency attack) traffic; every fault is driven by its own seeded rng
 // or a deterministic time window, so chaos runs replay exactly.
+//
+// The link is the sim.Handler of its own deliveries: a message in flight
+// is parked in a slot of the link's slab and the kernel event carries
+// the slot index. A slab rather than a ring, because reordered messages
+// and duplicate copies arrive out of send order.
 type Link struct {
 	k       *sim.Kernel
 	latency LatencyFunc
 	recv    func(v any)
+
+	// In-flight payloads, one slot per scheduled delivery (a duplicate
+	// copy parks in its own slot).
+	inflight sim.Slab[any]
 
 	lossRate  float64
 	rng       *rand.Rand
@@ -84,7 +97,7 @@ type elevation struct {
 type Option func(*Link)
 
 // WithLoss sets an i.i.d. drop probability. The rng must be provided
-// (deterministically seeded) when rate > 0.
+// (deterministically seeded) when rate > 0; NewLink panics otherwise.
 func WithLoss(rate float64, rng *rand.Rand) Option {
 	return func(l *Link) {
 		l.lossRate = rate
@@ -98,7 +111,28 @@ func NewLink(k *sim.Kernel, latency LatencyFunc, recv func(v any), opts ...Optio
 	for _, o := range opts {
 		o(l)
 	}
+	if l.lossRate > 0 && l.rng == nil {
+		panic("netsim: loss injection needs an rng")
+	}
 	return l
+}
+
+// deliver schedules one delivery of v at time at: v parks in the slab
+// and the kernel event carries its slot index.
+func (l *Link) deliver(at sim.Time, v any) {
+	l.k.Schedule(at, (*arrival)(l), l.inflight.Put(v))
+}
+
+// arrival is a Link as the sim.Handler of its own deliveries; the
+// separate name keeps Fire out of Link's method set.
+type arrival Link
+
+// Fire delivers the payload parked in slot i. The slot is free before
+// the receiver runs, so a receiver that sends on this same link may be
+// handed it again.
+func (a *arrival) Fire(i int) {
+	l := (*Link)(a)
+	l.recv(l.inflight.Take(i))
 }
 
 // Send injects v into the link at the current simulation time.
@@ -118,7 +152,7 @@ func (l *Link) Send(v any) sim.Time {
 			return -1
 		}
 	}
-	if l.lossRate > 0 && l.rng != nil && l.rng.Float64() < l.lossRate {
+	if l.lossRate > 0 && l.rng.Float64() < l.lossRate {
 		l.dropped++
 		return -1
 	}
@@ -141,17 +175,15 @@ func (l *Link) Send(v any) sim.Time {
 		// later), matching a packet stuck in a queue.
 		at += 1 + sim.Time(l.reorderRng.Int64N(int64(l.reorderJitter)))
 		l.reordered++
-		l.k.At(at, func() { l.recv(v) })
 	} else {
 		l.lastArrAt = at
-		l.k.At(at, func() { l.recv(v) })
 	}
+	l.deliver(at, v)
 	if l.dupRate > 0 && l.dupRng.Float64() < l.dupRate {
 		// The duplicate trails the original and never advances the FIFO
 		// clamp: copies arrive late, as duplicated packets do.
 		l.duplicated++
-		dupAt := at + l.dupLag
-		l.k.At(dupAt, func() { l.recv(v) })
+		l.deliver(at+l.dupLag, v)
 	}
 	return at
 }

@@ -2,9 +2,11 @@ package netsim
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"dbo/internal/market"
 	"dbo/internal/sim"
 	"dbo/internal/trace"
 )
@@ -238,5 +240,99 @@ func TestPropertyFIFO(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A positive loss rate with no rng would make a silently lossless link;
+// it is the same mistake EnableDup and EnableReorder panic on.
+func TestLossWithoutRngPanics(t *testing.T) {
+	t.Parallel()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewLink accepted WithLoss(0.1, nil)")
+		}
+	}()
+	NewLink(sim.NewKernel(1), Constant(1), func(any) {}, WithLoss(0.1, nil))
+}
+
+// A delivery's slot is free by the time its receiver runs: a receiver
+// that answers on the same link re-uses it, and a ping-pong of any
+// length needs one slot.
+func TestSlotReusableFromInsideRecv(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel(1)
+	var l *Link
+	var got []int
+	l = NewLink(k, Constant(10), func(v any) {
+		n := v.(int)
+		got = append(got, n)
+		if n < 5 {
+			l.Send(n + 1)
+		}
+	})
+	l.Send(1)
+	k.Run()
+	if want := []int{1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("deliveries = %v, want %v", got, want)
+	}
+	if n := l.inflight.Cap(); n != 1 {
+		t.Fatalf("slab grew to %d slots for one message in flight at a time", n)
+	}
+}
+
+// Slots are handed out and returned in any order: with reordering and
+// duplication on, every payload still reaches the receiver exactly as
+// often as it was scheduled, and the slab stops growing at the peak
+// in-flight count.
+func TestSlabSurvivesDupAndReorder(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel(1)
+	seen := map[int]int{}
+	l := NewLink(k, Constant(50), func(v any) { seen[v.(int)]++ })
+	l.EnableDup(0.3, 7, rand.New(rand.NewPCG(1, 1)))
+	l.EnableReorder(0.3, 40, rand.New(rand.NewPCG(2, 2)))
+	const n = 2000
+	for i := 0; i < n; i++ {
+		i := i
+		k.At(sim.Time(i*3), func() { l.Send(i) })
+	}
+	k.Run()
+	dup, _, _ := l.FaultStats()
+	total := 0
+	for i := 0; i < n; i++ {
+		if seen[i] < 1 || seen[i] > 2 {
+			t.Fatalf("payload %d delivered %d times", i, seen[i])
+		}
+		total += seen[i]
+	}
+	if total != n+dup {
+		t.Fatalf("%d deliveries for %d sends and %d duplicates", total, n, dup)
+	}
+	// At most ⌈(50+40+7)/3⌉ originals plus their copies are in flight.
+	if n := l.inflight.Cap(); n > 70 {
+		t.Fatalf("slab grew to %d slots; slots are not being re-used", n)
+	}
+}
+
+// Sending a pointer payload and delivering it allocates nothing: the
+// payload parks in the link's slab and the kernel event carries the
+// slot index.
+func TestLinkSendZeroAlloc(t *testing.T) {
+	k := sim.NewKernel(1)
+	got := 0
+	l := NewLink(k, Constant(50), func(any) { got++ })
+	msg := &market.Trade{MP: 1, Seq: 1}
+	round := func() {
+		for i := 0; i < 64; i++ {
+			l.Send(msg)
+		}
+		k.Run()
+	}
+	round() // grow the slab and the kernel's queue to their working size
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("send + delivery allocates %v objects per 64 messages, want 0", allocs)
+	}
+	if got == 0 {
+		t.Fatal("nothing delivered")
 	}
 }

@@ -1,6 +1,8 @@
 // Package rt adapts the transport-agnostic DBO components (which expect
 // a core.Scheduler) to wall-clock time: a single-goroutine event loop
-// with a monotonic clock and a timer heap.
+// with a monotonic clock, whose timers sit in the simulator's event
+// queue (sim.Queue) — one heap implementation orders both clocks, and
+// timers due at the same instant fire in the order At was called.
 //
 // Every node of the live deployment (internal/node) owns one Loop. All
 // component state is touched only from the loop goroutine; network
@@ -10,38 +12,11 @@
 package rt
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 
 	"dbo/internal/sim"
 )
-
-type timer struct {
-	at  sim.Time
-	seq uint64
-	fn  func()
-}
-
-type timerHeap []*timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
-}
 
 // Loop is a wall-clock scheduler satisfying core.Scheduler. Run it with
 // Run (usually in its own goroutine) and stop it with Stop.
@@ -49,8 +24,7 @@ type Loop struct {
 	start time.Time
 
 	mu     sync.Mutex
-	timers timerHeap
-	seq    uint64
+	timers sim.Queue // the kernel's queue: (at, push order), so equal deadlines fire in At order
 	msgs   []func()
 	wake   chan struct{}
 	done   chan struct{}
@@ -73,8 +47,7 @@ func (l *Loop) Now() sim.Time { return sim.Time(time.Since(l.start)) }
 // past — wall clocks move while callers compute). Safe from any goroutine.
 func (l *Loop) At(t sim.Time, fn func()) {
 	l.mu.Lock()
-	l.seq++
-	heap.Push(&l.timers, &timer{at: t, seq: l.seq, fn: fn})
+	l.timers.Push(t, sim.Func(fn), 0)
 	l.mu.Unlock()
 	l.kick()
 }
@@ -103,31 +76,37 @@ func (l *Loop) Stop() { l.once.Do(func() { close(l.done) }) }
 func (l *Loop) Run() {
 	tm := time.NewTimer(time.Hour)
 	defer tm.Stop()
+	// Posted messages and due timers are each swapped out under the lock
+	// and run outside it. The buffers they are swapped into belong to
+	// this goroutine and are re-used every iteration.
+	var msgs []func()
+	var due []sim.Event
 	for {
 		// Drain posted messages first.
 		l.mu.Lock()
-		msgs := l.msgs
-		l.msgs = nil
+		msgs, l.msgs = l.msgs, msgs[:0]
 		l.mu.Unlock()
-		for _, fn := range msgs {
+		for i, fn := range msgs {
 			fn()
+			msgs[i] = nil
 		}
 
 		// Run due timers and find the next deadline.
 		now := l.Now()
-		var due []func()
+		due = due[:0]
 		l.mu.Lock()
-		for len(l.timers) > 0 && l.timers[0].at <= now {
-			due = append(due, heap.Pop(&l.timers).(*timer).fn)
+		for l.timers.Len() > 0 && l.timers.MinAt() <= now {
+			due = append(due, l.timers.Pop())
 		}
 		var wait time.Duration = time.Hour
-		if len(l.timers) > 0 {
-			wait = time.Duration(l.timers[0].at - now)
+		if l.timers.Len() > 0 {
+			wait = time.Duration(l.timers.MinAt() - now)
 		}
 		pending := len(l.msgs) > 0
 		l.mu.Unlock()
-		for _, fn := range due {
-			fn()
+		for i := range due {
+			due[i].Fire()
+			due[i] = sim.Event{}
 		}
 		if len(due) > 0 || pending {
 			continue // new work may have been created; re-evaluate

@@ -88,6 +88,35 @@ func TestTimersFireInOrder(t *testing.T) {
 	}
 }
 
+// Timers due at the same instant fire in the order At was called: the
+// loop's timers sit in the simulator's queue and inherit its tie-break.
+func TestEqualDeadlinesFireInAtOrder(t *testing.T) {
+	l := startLoop(t)
+	var order []int
+	done := make(chan struct{})
+	at := l.Now() + sim.Time(5*time.Millisecond)
+	l.Post(func() {
+		for i := 0; i < 20; i++ {
+			i := i
+			l.At(at, func() { order = append(order, i) })
+		}
+		l.At(at, func() { close(done) })
+	})
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("timers never completed")
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("order = %v", order)
+		}
+	}
+	if len(order) != 20 {
+		t.Fatalf("%d of 20 timers fired", len(order))
+	}
+}
+
 func TestTimerScheduledFromHandler(t *testing.T) {
 	// RB pacing schedules follow-up timers from inside handlers.
 	l := startLoop(t)

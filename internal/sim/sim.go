@@ -8,10 +8,18 @@
 // repository are produced on virtual time: events execute in strict
 // timestamp order, ties broken by scheduling sequence, and every run is
 // reproducible from its seed.
+//
+// Scheduling is built on Queue, a flat heap of value-typed events
+// ordered by (time, push order). An event names a Handler and an
+// integer argument, so a component with many events in flight (a link's
+// messages, a participant's response timers) is its own handler and
+// parks each payload in a Slab slot the argument indexes; the plain
+// func() forms At, After and Every store the func itself as the handler.
+// Either way an event costs no heap object. The wall-clock loop
+// (internal/rt) orders its timers with the same Queue.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -43,40 +51,12 @@ func (t Time) String() string { return fmt.Sprintf("%.3fµs", t.Micros()) }
 // FromDuration converts a time.Duration into virtual time.
 func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
-// Event is a scheduled callback.
-type event struct {
-	at  Time
-	seq uint64 // tie-break: FIFO among equal timestamps
-	fn  func()
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
 // Kernel is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; all model code runs inside event callbacks on the
 // kernel's goroutine.
 type Kernel struct {
 	now     Time
-	queue   eventQueue
-	seq     uint64
+	queue   Queue
 	stopped bool
 	rng     *rand.Rand
 }
@@ -96,19 +76,33 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // SubRand derives an independent deterministic random source labelled by
 // id, so adding a component does not perturb the random streams of others.
+//
+// The stream depends on id alone, not on the kernel's seed: two kernels
+// with different seeds hand out identical SubRand(id) streams. Whatever
+// a model draws from one (the simulated participants' trade decisions
+// and response times, for instance) is therefore the same in every run,
+// and only what is drawn from Rand or seeded from the run's own seed
+// varies with it.
 func (k *Kernel) SubRand(id uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(id^0xd1342543de82ef95, id*0x2545f4914f6cdd1d+1))
 }
 
-// At schedules fn to run at absolute virtual time at. Scheduling in the
-// past (before Now) panics: that is always a model bug.
-func (k *Kernel) At(at Time, fn func()) {
+// Schedule queues h.Fire(arg) for absolute virtual time at. Scheduling
+// in the past (before Now) panics: that is always a model bug. It is the
+// one way onto the queue — At, After and Every wrap it — so every call
+// is exactly one event, ordered among equal timestamps by call order.
+func (k *Kernel) Schedule(at Time, h Handler, arg int) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, k.now))
 	}
-	k.seq++
-	heap.Push(&k.queue, &event{at: at, seq: k.seq, fn: fn})
+	k.queue.Push(at, h, arg)
 }
+
+// At schedules fn to run at absolute virtual time at. A fn that is
+// created once and rescheduled costs nothing per event; a hot path that
+// would build a fresh closure per event should implement Handler and
+// call Schedule instead.
+func (k *Kernel) At(at Time, fn func()) { k.Schedule(at, Func(fn), 0) }
 
 // After schedules fn to run d after the current time.
 func (k *Kernel) After(d Time, fn func()) {
@@ -139,14 +133,19 @@ func (k *Kernel) Every(start, period Time, fn func() bool) {
 // Stop halts the run loop after the currently executing event returns.
 func (k *Kernel) Stop() { k.stopped = true }
 
+// step pops the earliest event, advances the clock to it and runs it.
+func (k *Kernel) step() {
+	e := k.queue.Pop()
+	k.now = e.At
+	e.Fire()
+}
+
 // Run executes events until the queue is empty or Stop is called.
 // It returns the final virtual time.
 func (k *Kernel) Run() Time {
 	k.stopped = false
-	for len(k.queue) > 0 && !k.stopped {
-		e := heap.Pop(&k.queue).(*event)
-		k.now = e.at
-		e.fn()
+	for k.queue.Len() > 0 && !k.stopped {
+		k.step()
 	}
 	return k.now
 }
@@ -155,13 +154,8 @@ func (k *Kernel) Run() Time {
 // clock to the deadline. Events scheduled beyond the deadline remain queued.
 func (k *Kernel) RunUntil(deadline Time) Time {
 	k.stopped = false
-	for len(k.queue) > 0 && !k.stopped {
-		if k.queue[0].at > deadline {
-			break
-		}
-		e := heap.Pop(&k.queue).(*event)
-		k.now = e.at
-		e.fn()
+	for k.queue.Len() > 0 && !k.stopped && k.queue.MinAt() <= deadline {
+		k.step()
 	}
 	if k.now < deadline {
 		k.now = deadline
@@ -170,4 +164,4 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 }
 
 // Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return len(k.queue) }
+func (k *Kernel) Pending() int { return k.queue.Len() }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -158,10 +159,84 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	if k.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", k.Pending())
 	}
+	// A second call that stops short of the next event leaves it queued
+	// and still advances the clock.
+	if end := k.RunUntil(25); end != 25 || len(fired) != 2 || k.Pending() != 1 {
+		t.Fatalf("RunUntil(25) = %v with %v fired and %d pending; the event at 30 must stay queued", end, fired, k.Pending())
+	}
 	// Resuming runs the rest.
 	k.Run()
 	if len(fired) != 3 {
 		t.Fatalf("after resume fired %v", fired)
+	}
+}
+
+// An event scheduled for the current instant from inside a handler goes
+// behind the events already queued for that instant: ties pop in
+// scheduling order, whenever the scheduling happened.
+func TestScheduleForNowFromHandlerRunsAfterQueuedTies(t *testing.T) {
+	t.Parallel()
+	k := NewKernel(1)
+	var order []string
+	k.At(5, func() {
+		order = append(order, "a")
+		k.At(k.Now(), func() { order = append(order, "late") })
+		k.After(0, func() { order = append(order, "later") })
+	})
+	k.At(5, func() { order = append(order, "b") })
+	k.At(5, func() { order = append(order, "c") })
+	k.Run()
+	want := []string{"a", "b", "c", "late", "later"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// recorder is a Handler that tells its events apart by arg.
+type recorder struct{ args []int }
+
+func (r *recorder) Fire(arg int) { r.args = append(r.args, arg) }
+
+func TestScheduleDispatchesArgToHandler(t *testing.T) {
+	t.Parallel()
+	k := NewKernel(1)
+	var r recorder
+	k.Schedule(20, &r, 2)
+	k.Schedule(10, &r, 1)
+	k.Schedule(20, &r, 3)
+	k.At(20, func() { r.Fire(4) }) // At is Schedule with a Func handler: same queue, same tie-break
+	k.Run()
+	if want := []int{1, 2, 3, 4}; !slices.Equal(r.args, want) {
+		t.Fatalf("dispatched %v, want %v", r.args, want)
+	}
+}
+
+// Scheduling and dispatching an event allocates nothing when the
+// callback is not a fresh closure: entries are values in the queue's
+// backing array and a func value fits an interface word.
+func TestKernelEventZeroAlloc(t *testing.T) {
+	k := NewKernel(1)
+	n := 0
+	fn := func() { n++ }
+	var r recorder
+	r.args = make([]int, 0, 4096)
+	for i := 0; i < 64; i++ { // grow the queue to its working size
+		k.After(Time(i), fn)
+	}
+	k.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 16; i++ {
+			k.After(Time(i%4), fn)
+			k.Schedule(k.Now()+Time(i%4), &r, i)
+		}
+		k.Run()
+		r.args = r.args[:0]
+	})
+	if allocs != 0 {
+		t.Fatalf("schedule + dispatch allocates %v objects per 32 events, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("callback never ran")
 	}
 }
 
