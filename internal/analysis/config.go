@@ -189,6 +189,19 @@ func Default() *Config {
 			{Pkg: "internal/sim", Func: "(Kernel).Schedule"},
 			{Pkg: "internal/sim", Func: "(Kernel).step"},
 			{Pkg: "internal/netsim", Func: "(Link).Send"},
+			// One live message, socket to core and back out: the crossing
+			// onto the loop, a closure-free timer, a write of encoded
+			// bytes, and the nodes' receive switches (the runtime probes
+			// are TestInboxZeroAlloc, TestLoopScheduleZeroAlloc,
+			// TestServeMsgZeroAlloc and TestLiveIngestAllocBudget). The
+			// CES switch carries the path's one deliberate allocation,
+			// the retained trade.
+			{Pkg: "internal/rt", Func: "(Inbox[T]).Put"},
+			{Pkg: "internal/rt", Func: "(Inbox[T]).drain"},
+			{Pkg: "internal/rt", Func: "(Loop).Schedule"},
+			{Pkg: "internal/transport", Func: "(Endpoint).Write"},
+			{Pkg: "internal/node", Func: "(CES).onMessage"},
+			{Pkg: "internal/node", Func: "(MP).onMessage"},
 		},
 		DetSurfaces: []string{
 			// The seeded replay pipeline: identical seeds must produce
@@ -226,6 +239,8 @@ func Default() *Config {
 			"internal/clock",
 			"internal/sim",
 			"internal/netsim",
+			"internal/rt",
+			"internal/transport",
 		},
 	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/scanner"
 	"go/token"
@@ -137,6 +138,12 @@ func parseDir(dir, rel string, fset *token.FileSet) (*Package, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		// A file the build excludes here (//go:build, _GOOS suffixes) is
+		// not part of the package the compiler sees; with its
+		// counterpart it would not even type-check.
+		if match, err := build.Default.MatchFile(dir, name); err == nil && !match {
 			continue
 		}
 		full := filepath.Join(dir, name)

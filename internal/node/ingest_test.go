@@ -1,0 +1,399 @@
+package node
+
+import (
+	"bytes"
+	"net"
+	"net/netip"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dbo/internal/market"
+	"dbo/internal/rt"
+	"dbo/internal/sim"
+	"dbo/internal/transport"
+	"dbo/internal/wire"
+)
+
+// rawSocket is a loopback UDP socket outside internal/transport: the
+// tests' stand-in for a participant (or an exchange), speaking the wire
+// protocol with reused buffers so its own cost is not in the ledger.
+type rawSocket struct {
+	conn *net.UDPConn
+	buf  []byte
+}
+
+func newRawSocket(t testing.TB) *rawSocket {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadBuffer(4 << 20); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawSocket{conn: conn, buf: make([]byte, 0, wire.MaxSize)}
+}
+
+func (s *rawSocket) addr() string { return s.conn.LocalAddr().String() }
+
+func (s *rawSocket) write(t testing.TB, b []byte, to netip.AddrPort) {
+	if _, err := s.conn.WriteToUDPAddrPort(b, to); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// next reads datagrams until one of type tag arrives and returns a copy
+// of it, or nil if none does within the wait.
+func (s *rawSocket) next(t testing.TB, tag byte, wait time.Duration) []byte {
+	t.Helper()
+	buf := make([]byte, 2048)
+	if err := s.conn.SetReadDeadline(time.Now().Add(wait)); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		n, _, err := s.conn.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			return nil
+		}
+		if n > 0 && buf[0] == tag {
+			return bytes.Clone(buf[:n])
+		}
+	}
+}
+
+// startIngestCES starts a CES whose participants 1..n all live at the
+// addresses given (one per participant), ticking slowly enough that
+// market data is a per-tick remainder, not the load.
+func startIngestCES(t testing.TB, addrs []string, onForward func(*market.Trade)) *CES {
+	t.Helper()
+	ces, err := NewCES(CESConfig{
+		Listen: "127.0.0.1:0", TickInterval: 5 * time.Millisecond, Ticks: 1 << 30,
+		Delta: time.Millisecond, Tau: time.Millisecond, OnForward: onForward,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mps := make([]MPAddr, len(addrs))
+	for i, a := range addrs {
+		mps[i] = MPAddr{ID: market.ParticipantID(i + 1), Addr: a}
+	}
+	if err := ces.Start(mps); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ces.Stop)
+	return ces
+}
+
+// startIdleMP starts an MP that never trades, with the raw socket as its
+// exchange, and counts the batches delivered to it.
+func startIdleMP(t testing.TB, id market.ParticipantID, ces *rawSocket) (*MP, *atomic.Int64) {
+	t.Helper()
+	delivered := new(atomic.Int64)
+	mp, err := StartMP(MPConfig{
+		ID: id, Listen: "127.0.0.1:0", CES: ces.addr(),
+		Delta: time.Microsecond, Tau: time.Hour,
+		Strategy:  func(market.DataPoint) (bool, time.Duration, market.Side, int64, int64) { return false, 0, 0, 0, 0 },
+		OnDeliver: func(*market.Batch) { delivered.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mp.Stop)
+	return mp, delivered
+}
+
+// order is the i-th trade of a synthetic flow in which consecutive
+// trades cross: a buy rests, the next sell takes it.
+func order(mp market.ParticipantID, seq market.TradeSeq, elapsed sim.Time) market.Trade {
+	side := market.Buy
+	if seq%2 == 0 {
+		side = market.Sell
+	}
+	return market.Trade{
+		MP: mp, Seq: seq, Symbol: 1, Side: side, Price: 100, Qty: 1, Trigger: 1,
+		DC: market.DeliveryClock{Point: 1, Elapsed: 1000 * elapsed},
+	}
+}
+
+// TestLiveIngestAllocBudget holds the live ingest path — socket read,
+// decode, the crossing onto the loop, ordering buffer, matching engine,
+// execution reports out — to three heap objects per forwarded trade, on
+// a real CES fed by a raw socket. What is left under the budget is the
+// trade the OB and Forwarded() retain and the matching engine's own
+// objects; the transport, the loop and the exec egress contribute
+// nothing per message.
+func TestLiveIngestAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live ingest needs real sockets and real time")
+	}
+	const mps, burst, bursts = 4, 64, 150
+	fleet := newRawSocket(t)
+	// The fleet's reader drains market data and execution reports.
+	var drained sync.WaitGroup
+	drained.Add(1)
+	go func() {
+		defer drained.Done()
+		buf := make([]byte, 2048)
+		for {
+			if _, _, err := fleet.conn.ReadFromUDPAddrPort(buf); err != nil {
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() { fleet.conn.Close(); drained.Wait() })
+
+	var forwarded atomic.Int64
+	addrs := make([]string, mps)
+	for i := range addrs {
+		addrs[i] = fleet.addr()
+	}
+	ces := startIngestCES(t, addrs, func(*market.Trade) { forwarded.Add(1) })
+	to := ces.Addr().AddrPort()
+
+	var seq market.TradeSeq
+	var sent int64
+	var elapsed sim.Time
+	// run sends n bursts; each is released by a heartbeat round and
+	// waited for, so nothing piles up in a socket buffer.
+	run := func(n int) {
+		for b := 0; b < n; b++ {
+			for i := 0; i < burst; i++ {
+				seq++
+				elapsed++
+				tr := order(market.ParticipantID(i%mps+1), seq, elapsed)
+				fleet.buf = wire.AppendTrade(fleet.buf[:0], &tr)
+				fleet.write(t, fleet.buf, to)
+				sent++
+			}
+			elapsed++
+			for mp := 1; mp <= mps; mp++ {
+				hb := market.Heartbeat{MP: market.ParticipantID(mp), DC: market.DeliveryClock{Point: 1, Elapsed: 1000 * elapsed}}
+				fleet.buf = wire.AppendHeartbeat(fleet.buf[:0], hb)
+				fleet.write(t, fleet.buf, to)
+			}
+			for deadline := time.Now().Add(5 * time.Second); forwarded.Load() < sent; {
+				if time.Now().After(deadline) {
+					t.Fatalf("forwarded %d of %d trades", forwarded.Load(), sent)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}
+	run(20) // warm-up: slices, maps and the book reach their working size
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(bursts)
+	runtime.ReadMemStats(&after)
+
+	const budget = 3.0
+	trades := float64(burst * bursts)
+	perTrade := float64(after.Mallocs-before.Mallocs) / trades
+	t.Logf("%.2f objects per forwarded trade over %.0f trades, %.2f fills per trade, %d datagrams dropped at the socket",
+		perTrade, trades, float64(ces.Executions())/float64(sent), ces.Metrics().Snapshot()["udp_rx_dropped"])
+	if perTrade > budget {
+		t.Fatalf(`%.2f heap objects per forwarded trade, budget %.1f. Per-message sites that must stay at zero — profile with
+  go test ./internal/node -run TestLiveIngestAllocBudget -memprofile mem.prof -memprofilerate 1
+  go tool pprof -sample_index=alloc_objects -top mem.prof
+and look for:
+  net.(*UDPConn).ReadFromUDP              a *UDPAddr and its IP per datagram (ServeMsg reads with ReadFromUDPAddrPort)
+  wire.Decode / (*Msg).Value              the message boxed into any (the live path uses DecodeInto and m.Type)
+  node.cross / rt.(*Loop).Post            a closure per message (the crossing is rt.Inbox.Put, by value)
+  node.(*CES).onForward / reportTo        an exec boxed or encoded per counterparty (encoded once into c.buf)
+  metrics.(*Registry).Counter             not an object, but a mutex and a map lookup per message
+  node.(*CES).tick                        a closure per re-arm (the tick is Loop.Schedule with the index as arg)
+Expected to remain: node.(*CES).onMessage (the trade, 1.00), lob.(*Book).SubmitTIF (the resting order and the fills).`,
+			perTrade, budget)
+	}
+}
+
+// A fill is encoded once and the same bytes go to both counterparties;
+// a self-cross is reported once.
+func TestExecEncodedOnceReachesBothOwners(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live ingest needs real sockets and real time")
+	}
+	a, b := newRawSocket(t), newRawSocket(t)
+	ces := startIngestCES(t, []string{a.addr(), b.addr()}, nil)
+	to := ces.Addr().AddrPort()
+	elapsed := sim.Time(0)
+	submit := func(s *rawSocket, mp market.ParticipantID, seq market.TradeSeq) {
+		elapsed++
+		tr := order(mp, seq, elapsed)
+		s.write(t, wire.AppendTrade(nil, &tr), to)
+	}
+	release := func() {
+		elapsed++
+		for mp, s := range map[market.ParticipantID]*rawSocket{1: a, 2: b} {
+			hb := market.Heartbeat{MP: mp, DC: market.DeliveryClock{Point: 1, Elapsed: 1000 * elapsed}}
+			s.write(t, wire.AppendHeartbeat(nil, hb), to)
+		}
+	}
+
+	submit(a, 1, 1) // MP 1 buys and rests
+	submit(b, 2, 2) // MP 2 sells into it
+	release()
+	atA, atB := a.next(t, wire.TExec, 5*time.Second), b.next(t, wire.TExec, 5*time.Second)
+	if atA == nil || atB == nil {
+		t.Fatalf("execution report reached maker: %v, taker: %v", atA != nil, atB != nil)
+	}
+	if !bytes.Equal(atA, atB) {
+		t.Fatalf("the two counterparties got different reports:\n%x\n%x", atA, atB)
+	}
+	var m wire.Msg
+	if err := wire.DecodeInto(&m, atA); err != nil {
+		t.Fatal(err)
+	}
+	if m.Exec.MakerOwner != 1 || m.Exec.TakerOwner != 2 || m.Exec.Price != 100 || m.Exec.Qty != 1 {
+		t.Fatalf("report = %+v", m.Exec)
+	}
+
+	submit(a, 1, 3) // MP 1 buys, then sells into its own order
+	submit(a, 1, 4)
+	release()
+	if a.next(t, wire.TExec, 5*time.Second) == nil {
+		t.Fatal("the self-cross was not reported to its owner")
+	}
+	if extra := a.next(t, wire.TExec, 50*time.Millisecond); extra != nil {
+		t.Fatal("the self-cross was reported to its owner twice")
+	}
+	if stray := b.next(t, wire.TExec, 50*time.Millisecond); stray != nil {
+		t.Fatal("MP 2 got a report of a fill it had no side of")
+	}
+}
+
+// A maximally padded probe followed at once by a small datagram: the
+// reader decodes the second into the Msg the first was handed over in,
+// while the loop may still be working on the first. The crossing copies
+// the message and leaves Probe.Pad — the reader's storage — behind, so
+// the loop sees no pad and every trade intact. The handler reads all of
+// what it is given; run under -race, sharing the pad would be a
+// reported race with the reader's next decode.
+func TestPaddedProbeThenDatagramNoAlias(t *testing.T) {
+	const rounds = 12
+	const pad = 65507 - wire.ProbeHeaderSize // the largest probe one UDP datagram carries
+
+	t.Run("crossing", func(t *testing.T) {
+		ep, err := transport.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		loop := rt.NewLoop()
+		go loop.Run()
+		defer loop.Stop()
+
+		type seen struct {
+			typ     byte
+			seq     uint64
+			padLen  int
+			padSum  int
+			padNil  bool
+			tradeOK bool
+		}
+		got := make(chan seen, 2*rounds)
+		in := rt.NewInbox(loop, func(m *wire.Msg) {
+			s := seen{typ: m.Type, padLen: len(m.Probe.Pad), padNil: m.Probe.Pad == nil}
+			for _, b := range m.Probe.Pad {
+				s.padSum += int(b)
+			}
+			switch m.Type {
+			case wire.TProbe:
+				s.seq = m.Probe.Seq
+			case wire.TTrade:
+				s.seq = uint64(m.Trade.Seq)
+				s.tradeOK = m.Trade.MP == 3 && m.Trade.Price == 100+int64(m.Trade.Seq)
+			}
+			got <- s
+		})
+		go ep.ServeMsg(cross(in))
+
+		raw := newRawSocket(t)
+		to := ep.LocalAddr().AddrPort()
+		for i := 1; i <= rounds; i++ {
+			raw.write(t, wire.AppendProbe(nil, wire.Probe{MP: 3, Seq: uint64(i), Pad: bytes.Repeat([]byte{byte(i)}, pad)}), to)
+			raw.write(t, wire.AppendTrade(nil, &market.Trade{MP: 3, Seq: market.TradeSeq(i), Price: 100 + int64(i)}), to)
+		}
+		for i := 1; i <= rounds; i++ {
+			for _, typ := range []byte{wire.TProbe, wire.TTrade} {
+				select {
+				case s := <-got:
+					if s.typ != typ || s.seq != uint64(i) {
+						t.Fatalf("got type %d seq %d, want type %d seq %d", s.typ, s.seq, typ, i)
+					}
+					if !s.padNil || s.padLen != 0 {
+						t.Fatalf("message %d/%d crossed with %d bytes of the reader's pad", typ, i, s.padLen)
+					}
+					if typ == wire.TTrade && !s.tradeOK {
+						t.Fatalf("trade %d crossed corrupted", i)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("round %d type %d never reached the loop", i, typ)
+				}
+			}
+		}
+	})
+
+	t.Run("mp", func(t *testing.T) {
+		ces := newRawSocket(t) // stands in for the exchange: collects the probe replies
+		mp, delivered := startIdleMP(t, 3, ces)
+		to := mp.Addr().AddrPort()
+		for i := 1; i <= rounds; i++ {
+			ces.write(t, wire.AppendProbe(nil, wire.Probe{MP: 3, Seq: uint64(i), T1: 5, Pad: bytes.Repeat([]byte{byte(i)}, pad)}), to)
+			ces.write(t, wire.AppendMarketData(nil, market.DataPoint{ID: market.PointID(i), Batch: market.BatchID(i), Last: true}), to)
+		}
+		for i := 1; i <= rounds; i++ {
+			reply := ces.next(t, wire.TProbeReply, 5*time.Second)
+			if reply == nil {
+				t.Fatalf("probe %d was not reflected", i)
+			}
+			var m wire.Msg
+			if err := wire.DecodeInto(&m, reply); err != nil {
+				t.Fatal(err)
+			}
+			if m.ProbeReply.Seq != uint64(i) || m.ProbeReply.T1 != 5 || m.ProbeReply.MP != 3 {
+				t.Fatalf("reply %d = %+v", i, m.ProbeReply)
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); delivered.Load() < rounds; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d points delivered between the probes", delivered.Load(), rounds)
+			}
+		}
+	})
+}
+
+// A data point whose id is far beyond the stream would have the release
+// buffer mark every point of the gap as missing, one map entry each —
+// 2^62 of them here. The MP drops it, counts it, and keeps delivering.
+func TestHostilePointDoesNotStallMP(t *testing.T) {
+	ces := newRawSocket(t)
+	mp, delivered := startIdleMP(t, 1, ces)
+	to := mp.Addr().AddrPort()
+	point := func(id market.PointID) []byte {
+		return wire.AppendMarketData(nil, market.DataPoint{ID: id, Batch: market.BatchID(id), Last: true})
+	}
+	ces.write(t, point(1), to)
+	ces.write(t, point(1<<62), to)
+	ces.write(t, point(2), to)
+	for deadline := time.Now().Add(5 * time.Second); delivered.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 well-formed points delivered around the hostile one", delivered.Load())
+		}
+	}
+	if mp.Fills() < 0 {
+		t.Fatal("the MP's loop does not answer")
+	}
+	if got := mp.Metrics().Counter("data_rejected").Value(); got != 1 {
+		t.Fatalf("data_rejected = %d, want 1", got)
+	}
+	// A gap inside the bound is still a gap: repaired, not rejected.
+	ces.write(t, point(2+maxPointGap), to)
+	if req := ces.next(t, wire.TRetx, 5*time.Second); req == nil {
+		t.Fatal("a gap inside the bound did not produce a retransmission request")
+	}
+}

@@ -7,11 +7,19 @@
 // Each node runs a single rt.Loop; its clock starts when the node
 // starts, so node clocks are genuinely unsynchronized. All DBO logic is
 // the same transport-agnostic core as the simulator's.
+//
+// Messages stay typed from socket to core: a reader goroutine decodes
+// into its own wire.Msg (transport.ServeMsg), the message crosses onto
+// the loop by value through one rt.Inbox per node, and onMessage
+// switches on its type. Outbound, the loop encodes into a buffer it
+// owns and writes the bytes (transport.Write), once per message however
+// many destinations it has.
 package node
 
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"slices"
 	"sync"
 	"time"
@@ -33,6 +41,38 @@ import (
 // wireRetx maps the core's retransmission request onto its wire record.
 func wireRetx(r core.RetxRequest) wire.Retx {
 	return wire.Retx{MP: r.MP, From: r.From, To: r.To}
+}
+
+// cross returns the transport handler that carries a reader's message
+// onto a node's loop. The reader's Msg is copied into the inbox, all but
+// Probe.Pad: that slice is storage the reader decodes the next probe
+// into, nothing on the loop reads it (transport.Reflect ignores it), so
+// it stays behind rather than being shared between two goroutines.
+func cross(in *rt.Inbox[wire.Msg]) func(*wire.Msg, netip.AddrPort) {
+	return func(m *wire.Msg, _ netip.AddrPort) {
+		pad := m.Probe.Pad
+		m.Probe.Pad = nil
+		in.Put(m)
+		m.Probe.Pad = pad
+	}
+}
+
+// resolve parses a UDP address into the form transport.Write takes.
+func resolve(addr string) (netip.AddrPort, error) {
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	ap := ua.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
+}
+
+// registerSocket exports what the kernel is doing with a node's UDP
+// socket: the receive buffer it granted and the datagrams it dropped
+// because that buffer was full.
+func registerSocket(reg *metrics.Registry, ep *transport.Endpoint) {
+	reg.Func("socket_rcvbuf_bytes", ep.RcvBuf)
+	reg.Func("udp_rx_dropped", ep.Dropped)
 }
 
 // MPAddr names one market participant's release-buffer endpoint.
@@ -92,6 +132,7 @@ type CESConfig struct {
 type CES struct {
 	cfg    CESConfig
 	loop   *rt.Loop
+	inbox  *rt.Inbox[wire.Msg] // shared by the UDP reader and every TCP connection
 	ep     *transport.Endpoint
 	tcp    *transport.TCPServer
 	ob     *core.OrderingBuffer
@@ -99,17 +140,22 @@ type CES struct {
 	batch  *core.Batcher
 	quotes *feed.Generator
 	reg    *metrics.Registry
-	addrs  []*net.UDPAddr
+	m      cesMetrics
+
+	// Loop goroutine only. buf holds the one message being sent: encoded
+	// once, written to each destination. addrs is the fan-out list in
+	// cfg.MPs order; peers finds one participant by id (an exec's owner,
+	// a heartbeat's sender) as peers[id-peerBase].
+	buf      []byte
+	addrs    []netip.AddrPort
+	peers    []peer
+	peerBase int
 
 	// RTT probing (loop goroutine only, except the Prober internals
 	// which are safe anywhere).
 	policy   *core.AdaptiveThreshold
 	probers  []*transport.Prober
 	proberOf map[market.ParticipantID]*transport.Prober
-
-	// lastHB tracks per-MP heartbeat arrival for the staleness histogram
-	// (loop goroutine only).
-	lastHB map[market.ParticipantID]sim.Time
 
 	mu        sync.Mutex
 	genTimes  []sim.Time
@@ -118,6 +164,26 @@ type CES struct {
 	execs     int
 
 	stop sync.Once
+}
+
+// peer is what the CES keeps per participant.
+type peer struct {
+	addr   netip.AddrPort // zero for an id inside the range that no participant has
+	lastHB sim.Time       // arrival of its latest heartbeat, for the staleness histogram; -1 before the first
+}
+
+// maxIDSpan bounds max−min over the participant ids a CES is started
+// with, since it indexes a table by id.
+const maxIDSpan = 1 << 16
+
+// cesMetrics are the registry handles the per-message paths use,
+// resolved once: a message then costs atomic adds, not the registry's
+// mutex and a map lookup per metric.
+type cesMetrics struct {
+	dataPoints, batchesSealed          *metrics.Counter
+	tradesReceived, heartbeatsReceived *metrics.Counter
+	tradesForwarded, executions        *metrics.Counter
+	obHold, response, hbStaleness      *metrics.Histogram
 }
 
 // NewCES validates the static configuration and binds the socket, so
@@ -151,9 +217,18 @@ func NewCES(cfg CESConfig) (*CES, error) {
 	c := &CES{
 		cfg: cfg, loop: rt.NewLoop(), ep: ep, engine: lob.NewEngine(),
 		reg:      metrics.NewRegistry(),
-		lastHB:   make(map[market.ParticipantID]sim.Time),
+		buf:      make([]byte, 0, wire.MaxSize),
 		proberOf: make(map[market.ParticipantID]*transport.Prober),
 	}
+	c.inbox = rt.NewInbox(c.loop, c.onMessage)
+	c.m = cesMetrics{
+		dataPoints: c.reg.Counter("data_points"), batchesSealed: c.reg.Counter("batches_sealed"),
+		tradesReceived: c.reg.Counter("trades_received"), heartbeatsReceived: c.reg.Counter("heartbeats_received"),
+		tradesForwarded: c.reg.Counter("trades_forwarded"), executions: c.reg.Counter("executions"),
+		obHold: c.reg.Histogram("ob_hold_ns"), response: c.reg.Histogram("response_ns"),
+		hbStaleness: c.reg.Histogram("hb_staleness_ns"),
+	}
+	registerSocket(c.reg, ep)
 	cfg.Flight.SetNode(market.NodeCES)
 	if cfg.Flight != nil {
 		c.reg.Func("flight_ring_dropped", cfg.Flight.Dropped)
@@ -182,17 +257,24 @@ func (c *CES) Start(mps []MPAddr) error {
 		return fmt.Errorf("node: CES needs at least one MP")
 	}
 	c.cfg.MPs = mps
+	parts := make([]market.ParticipantID, len(mps))
+	for i, mp := range mps {
+		parts[i] = mp.ID
+	}
+	lo, hi := int(slices.Min(parts)), int(slices.Max(parts))
+	if hi-lo >= maxIDSpan {
+		c.ep.Close()
+		return fmt.Errorf("node: participant ids %d..%d span more than %d", lo, hi, maxIDSpan)
+	}
+	c.peers, c.peerBase = make([]peer, hi-lo+1), lo
 	for _, mp := range mps {
-		ua, err := net.ResolveUDPAddr("udp", mp.Addr)
+		a, err := resolve(mp.Addr)
 		if err != nil {
 			c.ep.Close()
 			return fmt.Errorf("node: MP %d addr %q: %w", mp.ID, mp.Addr, err)
 		}
-		c.addrs = append(c.addrs, ua)
-	}
-	parts := make([]market.ParticipantID, len(mps))
-	for i, mp := range mps {
-		parts[i] = mp.ID
+		c.addrs = append(c.addrs, a)
+		c.peers[int(mp.ID)-lo] = peer{addr: a, lastHB: -1}
 	}
 	if c.cfg.Adaptive != nil {
 		c.policy = core.NewAdaptiveThreshold(*c.cfg.Adaptive, sim.FromDuration(c.cfg.StragglerRTT))
@@ -260,13 +342,9 @@ func (c *CES) Start(mps []MPAddr) error {
 		})
 	}
 	go c.loop.Run()
-	go c.ep.Serve(func(v any, from *net.UDPAddr) {
-		c.loop.Post(func() { c.onMessage(v) })
-	})
-	go c.tcp.Serve(func(v any, from *net.UDPAddr) {
-		c.loop.Post(func() { c.onMessage(v) })
-	})
-	c.loop.Post(func() { c.tick(0) })
+	go c.ep.ServeMsg(cross(c.inbox))  //nolint:errcheck // returns nil on Close
+	go c.tcp.ServeMsg(cross(c.inbox)) //nolint:errcheck // returns nil on Close
+	c.loop.Schedule(0, (*cesTicker)(c), 0)
 	c.scheduleOBTick()
 	if c.cfg.ProbeInterval > 0 {
 		for _, p := range parts {
@@ -296,7 +374,8 @@ func (c *CES) scheduleProbes() {
 	probe = func() {
 		now := c.loop.Now()
 		for i, pr := range c.probers {
-			c.ep.Send(pr.Next(now), c.addrs[i]) //nolint:errcheck // UDP loss is part of the model
+			c.buf = wire.AppendProbe(c.buf[:0], pr.Next(now))
+			c.ep.Write(c.buf, c.addrs[i]) //nolint:errcheck // UDP loss is part of the model
 		}
 		c.reg.Counter("probes_sent").Add(int64(len(c.probers)))
 		c.loop.At(now+ival, probe)
@@ -310,7 +389,9 @@ func (c *CES) scheduleProbes() {
 // straggler_transitions, probes_sent, probe_rtt_invalid), live gauges
 // (ob_queued, stragglers, batches_delivered_min, adaptive_threshold_ns
 // when Adaptive is on, per-MP wm_lag_points_mp_<id> and
-// straggler_mp_<id>), and histograms
+// straggler_mp_<id>; socket_rcvbuf_bytes — the receive buffer the kernel
+// granted — and udp_rx_dropped — datagrams it dropped at the socket),
+// and histograms
 // (ob_hold_ns, response_ns, hb_staleness_ns, probe_rtt_ns). Mount
 // Metrics().Handler() (JSON) or Metrics().PromHandler() (Prometheus
 // text) on any HTTP mux.
@@ -413,9 +494,9 @@ func (c *CES) tick(i int) {
 	c.genTimes = append(c.genTimes, now)
 	c.genPoints = append(c.genPoints, dp)
 	c.mu.Unlock()
-	c.reg.Counter("data_points").Inc()
+	c.m.dataPoints.Inc()
 	if last {
-		c.reg.Counter("batches_sealed").Inc()
+		c.m.batchesSealed.Inc()
 	}
 	if f := c.cfg.Flight; f.Enabled() {
 		f.Emit(flight.Event{At: now, Kind: flight.KindGen, Point: dp.ID, Batch: dp.Batch})
@@ -423,40 +504,66 @@ func (c *CES) tick(i int) {
 			f.Emit(flight.Event{At: now, Kind: flight.KindSeal, Point: dp.ID, Batch: dp.Batch})
 		}
 	}
+	c.buf = wire.AppendMarketData(c.buf[:0], dp)
 	for _, a := range c.addrs {
-		c.ep.Send(dp, a) //nolint:errcheck // UDP loss is part of the model
+		c.ep.Write(c.buf, a) //nolint:errcheck // UDP loss is part of the model
 	}
 	if i+1 < c.cfg.Ticks {
-		c.loop.At(now+sim.FromDuration(c.cfg.TickInterval), func() { c.tick(i + 1) })
+		c.loop.Schedule(now+sim.FromDuration(c.cfg.TickInterval), (*cesTicker)(c), i+1)
 	}
 }
 
-// onMessage dispatches reverse-path traffic (loop goroutine).
-func (c *CES) onMessage(v any) {
-	switch m := v.(type) {
-	case *market.Trade:
-		m.Ctx.Hop++ // network ingress at the CES node
-		c.reg.Counter("trades_received").Inc()
-		c.ob.OnTrade(m)
-	case market.Heartbeat:
-		m.Ctx.Hop++ // network ingress at the CES node
-		c.reg.Counter("heartbeats_received").Inc()
-		now := c.loop.Now()
-		if prev, ok := c.lastHB[m.MP]; ok {
-			c.reg.Histogram("hb_staleness_ns").Observe(int64(now - prev))
+// cesTicker is the CES as the sim.Handler of its market-data timer; the
+// event's arg is the tick index, so re-arming needs no closure.
+type cesTicker CES
+
+// Fire generates tick i.
+func (c *cesTicker) Fire(i int) { (*CES)(c).tick(i) }
+
+// peerOf finds a participant by id; nil for an id the CES was not
+// started with (ids arrive off the socket).
+func (c *CES) peerOf(id market.ParticipantID) *peer {
+	i := int(id) - c.peerBase
+	if i < 0 || i >= len(c.peers) || !c.peers[i].addr.IsValid() {
+		return nil
+	}
+	return &c.peers[i]
+}
+
+// onMessage dispatches reverse-path traffic (loop goroutine). m is a
+// slot of the inbox, valid for this call only.
+func (c *CES) onMessage(m *wire.Msg) {
+	switch m.Type {
+	case wire.TTrade:
+		//dbo:vet-ignore allocfree the one allocation a trade costs: the OB queue and Forwarded() keep it, so it is copied out of the inbox slot
+		t := new(market.Trade)
+		*t = m.Trade
+		t.Ctx.Hop++ // network ingress at the CES node
+		c.m.tradesReceived.Inc()
+		c.ob.OnTrade(t)
+	case wire.THeartbeat:
+		hb := m.Heartbeat
+		hb.Ctx.Hop++ // network ingress at the CES node
+		c.m.heartbeatsReceived.Inc()
+		if p := c.peerOf(hb.MP); p != nil {
+			now := c.loop.Now()
+			if p.lastHB >= 0 {
+				c.m.hbStaleness.Observe(int64(now - p.lastHB))
+			}
+			p.lastHB = now
 		}
-		c.lastHB[m.MP] = now
-		c.ob.OnHeartbeat(m)
-	case wire.Retx:
+		c.ob.OnHeartbeat(hb)
+	case wire.TRetx:
 		c.reg.Counter("retx_requests").Inc()
-		c.retransmit(core.RetxRequest{MP: m.MP, From: m.From, To: m.To})
-	case wire.ProbeReply:
+		c.retransmit(core.RetxRequest{MP: m.Retx.MP, From: m.Retx.From, To: m.Retx.To})
+	case wire.TProbeReply:
+		r := m.ProbeReply
 		now := c.loop.Now()
 		var rtt sim.Time
-		if pr := c.proberOf[m.MP]; pr != nil {
-			rtt = pr.Observe(m, now) // records into the RTT capture when enabled
+		if pr := c.proberOf[r.MP]; pr != nil {
+			rtt = pr.Observe(r, now) // records into the RTT capture when enabled
 		} else {
-			rtt = transport.ProbeRTT(m, now)
+			rtt = transport.ProbeRTT(r, now)
 		}
 		if rtt < 0 {
 			c.reg.Counter("probe_rtt_invalid").Inc()
@@ -464,7 +571,7 @@ func (c *CES) onMessage(v any) {
 		}
 		c.reg.Histogram("probe_rtt_ns").Observe(int64(rtt))
 		if c.policy != nil {
-			c.policy.Observe(m.MP, rtt, now)
+			c.policy.Observe(r.MP, rtt, now)
 		}
 	}
 }
@@ -474,14 +581,8 @@ func (c *CES) onMessage(v any) {
 // empty or inverted range is rejected, and To is clamped to what has
 // been generated before it sizes anything.
 func (c *CES) retransmit(r core.RetxRequest) {
-	idx := -1
-	for i, mp := range c.cfg.MPs {
-		if mp.ID == r.MP {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	p := c.peerOf(r.MP)
+	if p == nil {
 		return
 	}
 	if r.From < 1 || r.To < r.From {
@@ -495,7 +596,8 @@ func (c *CES) retransmit(r core.RetxRequest) {
 	}
 	c.mu.Unlock()
 	for _, dp := range pts {
-		c.ep.Send(dp, c.addrs[idx]) //nolint:errcheck
+		c.buf = wire.AppendMarketData(c.buf[:0], dp)
+		c.ep.Write(c.buf, p.addr) //nolint:errcheck
 	}
 }
 
@@ -512,10 +614,10 @@ func (c *CES) onForward(t *market.Trade) {
 	c.forwarded = append(c.forwarded, t)
 	c.execs += len(execs)
 	c.mu.Unlock()
-	c.reg.Counter("trades_forwarded").Inc()
-	c.reg.Counter("executions").Add(int64(len(execs)))
-	c.reg.Histogram("ob_hold_ns").Observe(int64(t.Forwarded - t.Enqueued))
-	c.reg.Histogram("response_ns").Observe(int64(t.RT))
+	c.m.tradesForwarded.Inc()
+	c.m.executions.Add(int64(len(execs)))
+	c.m.obHold.Observe(int64(t.Forwarded - t.Enqueued))
+	c.m.response.Observe(int64(t.RT))
 	if f := c.cfg.Flight; f.Enabled() {
 		f.Emit(flight.Event{
 			At: c.loop.Now(), Kind: flight.KindMatch,
@@ -525,16 +627,17 @@ func (c *CES) onForward(t *market.Trade) {
 	}
 	c.cfg.Auditor.OnForward(t, c.loop.Now())
 	// Execution reports go back to both counterparties (the market data
-	// stream is the public side; these are the private fills).
+	// stream is the public side; these are the private fills): one
+	// encoding, written to each.
 	for _, e := range execs {
-		rep := wire.Exec{
+		c.buf = wire.AppendExec(c.buf[:0], wire.Exec{
 			Maker: uint64(e.Maker), Taker: uint64(e.Taker),
 			MakerOwner: e.MakerOwner, TakerOwner: e.TakerOwner,
 			Price: e.Price, Qty: e.Qty, Seq: e.Seq,
-		}
-		c.sendExec(rep, e.MakerOwner)
+		})
+		c.reportTo(e.MakerOwner)
 		if e.TakerOwner != e.MakerOwner {
-			c.sendExec(rep, e.TakerOwner)
+			c.reportTo(e.TakerOwner)
 		}
 	}
 	if c.cfg.OnForward != nil {
@@ -542,12 +645,10 @@ func (c *CES) onForward(t *market.Trade) {
 	}
 }
 
-func (c *CES) sendExec(rep wire.Exec, owner int32) {
-	for i, mp := range c.cfg.MPs {
-		if int32(mp.ID) == owner {
-			c.ep.Send(rep, c.addrs[i]) //nolint:errcheck
-			return
-		}
+// reportTo writes the execution report in c.buf to one of its owners.
+func (c *CES) reportTo(owner int32) {
+	if p := c.peerOf(market.ParticipantID(owner)); p != nil {
+		c.ep.Write(c.buf, p.addr) //nolint:errcheck
 	}
 }
 
@@ -619,19 +720,59 @@ type MPConfig struct {
 type MP struct {
 	cfg   MPConfig
 	loop  *rt.Loop
+	inbox *rt.Inbox[wire.Msg]
 	ep    *transport.Endpoint
 	rb    *core.ReleaseBuffer
-	ces   *net.UDPAddr
+	ces   netip.AddrPort
 	tcp   *transport.TCPClient // non-nil when the reverse path is TCP
 	reg   *metrics.Registry
+	m     mpMetrics
 	seq   market.TradeSeq
 	fills int
+
+	// Loop goroutine only. buf holds the one message being sent. pending
+	// parks the trades the strategy has decided on while their response
+	// times pass: the MP is the sim.Handler of those timers (mpResponder)
+	// and the event's arg is the slot. trade is the one being submitted;
+	// the RB tags it and send encodes it before respond returns, and
+	// nothing keeps the pointer. nextPoint mirrors the RB's in-order
+	// expectation, to bound the gap a data point may open.
+	buf       []byte
+	pending   sim.Slab[response]
+	trade     market.Trade
+	nextPoint market.PointID
 
 	// Delivery pacing state (loop goroutine only).
 	lastDeliver sim.Time
 	delivered   bool
 
 	stop sync.Once
+}
+
+// response is a trade an MP has decided on and will submit once its
+// response time has passed.
+type response struct {
+	trigger     market.PointID
+	symbol      uint32
+	side        market.Side
+	price, qty  int64
+	deliveredAt sim.Time
+}
+
+// maxPointGap bounds how far ahead of the in-order stream a data point
+// may be. The release buffer records every point of a gap as missing,
+// one map entry each, so a point id taken straight off the socket would
+// otherwise cost the loop up to 2^63 insertions. A point further ahead
+// is dropped and counted (data_rejected). The bound is about what one
+// retransmission burst can land in the socket's receive buffer; a
+// participant that far behind is a straggler, not a repair.
+const maxPointGap = 1 << 12
+
+// mpMetrics are the registry handles of the per-message paths (see
+// cesMetrics).
+type mpMetrics struct {
+	batchesDelivered, tradesSubmitted, fills *metrics.Counter
+	deliveryGap, response                    *metrics.Histogram
 }
 
 // StartMP binds the participant's socket and starts its release buffer.
@@ -646,12 +787,22 @@ func StartMP(cfg MPConfig) (*MP, error) {
 	if err != nil {
 		return nil, err
 	}
-	ces, err := net.ResolveUDPAddr("udp", cfg.CES)
+	ces, err := resolve(cfg.CES)
 	if err != nil {
 		ep.Close()
 		return nil, fmt.Errorf("node: CES addr %q: %w", cfg.CES, err)
 	}
-	m := &MP{cfg: cfg, loop: rt.NewLoop(), ep: ep, ces: ces, reg: metrics.NewRegistry()}
+	m := &MP{
+		cfg: cfg, loop: rt.NewLoop(), ep: ep, ces: ces, reg: metrics.NewRegistry(),
+		buf: make([]byte, 0, wire.MaxSize), nextPoint: 1,
+	}
+	m.inbox = rt.NewInbox(m.loop, m.onMessage)
+	m.m = mpMetrics{
+		batchesDelivered: m.reg.Counter("batches_delivered"), tradesSubmitted: m.reg.Counter("trades_submitted"),
+		fills: m.reg.Counter("fills"), deliveryGap: m.reg.Histogram("delivery_gap_ns"),
+		response: m.reg.Histogram("response_ns"),
+	}
+	registerSocket(m.reg, ep)
 	cfg.Flight.SetNode(market.NodeOfMP(cfg.ID))
 	if cfg.Flight != nil {
 		m.reg.Func("flight_ring_dropped", cfg.Flight.Dropped)
@@ -672,11 +823,11 @@ func StartMP(cfg MPConfig) (*MP, error) {
 		Deliver: m.onBatch,
 		Send:    m.send,
 		Flight:  cfg.Flight,
+
+		SendHeartbeat: m.sendHeartbeat,
 	})
 	go m.loop.Run()
-	go m.ep.Serve(func(v any, from *net.UDPAddr) {
-		m.loop.Post(func() { m.onMessage(v) })
-	})
+	go m.ep.ServeMsg(cross(m.inbox)) //nolint:errcheck // returns nil on Close
 	m.loop.Post(m.rb.Start)
 	return m, nil
 }
@@ -685,9 +836,10 @@ func StartMP(cfg MPConfig) (*MP, error) {
 func (m *MP) Addr() *net.UDPAddr { return m.ep.LocalAddr() }
 
 // Metrics exposes the participant's operational registry: counters
-// (batches_delivered, trades_submitted, fills, probes_reflected) and
-// histograms (delivery_gap_ns — inter-batch pacing on this node's
-// clock — and response_ns). Mount Metrics().Handler() or
+// (batches_delivered, trades_submitted, fills, probes_reflected,
+// data_rejected), the socket gauges socket_rcvbuf_bytes and
+// udp_rx_dropped, and histograms (delivery_gap_ns — inter-batch pacing
+// on this node's clock — and response_ns). Mount Metrics().Handler() or
 // .PromHandler() to scrape.
 func (m *MP) Metrics() *metrics.Registry { return m.reg }
 
@@ -702,38 +854,62 @@ func (m *MP) Stop() {
 	})
 }
 
-// send carries RB output (tagged trades, heartbeats, retx requests) to
-// the CES. core.RetxRequest is translated at the wire layer.
+// send carries the RB's tagged trades and retransmission requests to the
+// CES (core.ReleaseBufferConfig.Send; heartbeats take sendHeartbeat).
+// The *market.Trade is borrowed: it is encoded before send returns.
 func (m *MP) send(v any) {
-	if r, ok := v.(core.RetxRequest); ok {
-		// wire has its own Retx record; map the core type onto it.
-		v = wireRetx(r)
-	}
-	if m.tcp != nil {
-		m.tcp.Send(v) //nolint:errcheck
+	switch v := v.(type) {
+	case *market.Trade:
+		m.buf = wire.AppendTrade(m.buf[:0], v)
+	case core.RetxRequest:
+		m.buf = wire.AppendRetx(m.buf[:0], wireRetx(v))
+	default:
 		return
 	}
-	m.ep.Send(v, m.ces) //nolint:errcheck
+	m.write()
 }
 
-func (m *MP) onMessage(v any) {
-	switch msg := v.(type) {
-	case market.DataPoint:
-		msg.Ctx.Hop++ // network ingress at the RB node
-		m.rb.OnData(msg)
-	case wire.Probe:
+func (m *MP) sendHeartbeat(hb market.Heartbeat) {
+	m.buf = wire.AppendHeartbeat(m.buf[:0], hb)
+	m.write()
+}
+
+// write transmits the message in m.buf over the reverse path.
+func (m *MP) write() {
+	if m.tcp != nil {
+		m.tcp.Write(m.buf) //nolint:errcheck
+		return
+	}
+	m.ep.Write(m.buf, m.ces) //nolint:errcheck
+}
+
+// onMessage dispatches forward-path traffic (loop goroutine). msg is a
+// slot of the inbox, valid for this call only.
+func (m *MP) onMessage(msg *wire.Msg) {
+	switch msg.Type {
+	case wire.TMarketData:
+		dp := msg.Data
+		if dp.ID >= m.nextPoint+maxPointGap {
+			m.reg.Counter("data_rejected").Inc()
+			return
+		}
+		m.nextPoint = max(m.nextPoint, dp.ID+1)
+		dp.Ctx.Hop++ // network ingress at the RB node
+		m.rb.OnData(dp)
+	case wire.TProbe:
 		// TWAMP-light reflection: stamp receive and transmit on this
 		// node's clock, reply over the reverse path (same channel the
 		// heartbeats use, so the probe RTT measures what the OB's own
 		// straggler estimate experiences).
 		t2 := m.loop.Now()
 		m.reg.Counter("probes_reflected").Inc()
-		m.send(transport.Reflect(msg, t2, m.loop.Now()))
-	case wire.Exec:
+		m.buf = wire.AppendProbeReply(m.buf[:0], transport.Reflect(msg.Probe, t2, m.loop.Now()))
+		m.write()
+	case wire.TExec:
 		m.fills++
-		m.reg.Counter("fills").Inc()
+		m.m.fills.Inc()
 		if m.cfg.OnExec != nil {
-			m.cfg.OnExec(msg)
+			m.cfg.OnExec(msg.Exec)
 		}
 	}
 }
@@ -755,9 +931,9 @@ func (m *MP) Fills() int {
 // onBatch runs the participant's strategy against each delivered point.
 func (m *MP) onBatch(b *market.Batch) {
 	deliveredAt := m.loop.Now()
-	m.reg.Counter("batches_delivered").Inc()
+	m.m.batchesDelivered.Inc()
 	if m.delivered {
-		m.reg.Histogram("delivery_gap_ns").Observe(int64(deliveredAt - m.lastDeliver))
+		m.m.deliveryGap.Observe(int64(deliveredAt - m.lastDeliver))
 	}
 	m.lastDeliver, m.delivered = deliveredAt, true
 	m.cfg.Auditor.OnDeliver(m.cfg.ID, b, deliveredAt)
@@ -769,24 +945,37 @@ func (m *MP) onBatch(b *market.Batch) {
 		if !respond {
 			continue
 		}
-		dp := dp
-		m.loop.At(deliveredAt+sim.FromDuration(rtDelay), func() {
-			m.seq++
-			now := m.loop.Now()
-			t := &market.Trade{
-				MP: m.cfg.ID, Seq: m.seq, Symbol: dp.Symbol,
-				Side: side, Price: price, Qty: qty,
-				Trigger:   dp.ID,
-				Submitted: now,
-				// Ground truth is the *actual* response time — delivery
-				// to submission as measured on this node's clock — not
-				// the intended delay: under scheduler/GC pressure the
-				// timer can fire late, and the trade really was slower.
-				RT: now - deliveredAt,
-			}
-			m.reg.Counter("trades_submitted").Inc()
-			m.reg.Histogram("response_ns").Observe(int64(t.RT))
-			m.rb.OnTrade(t) // tags the delivery clock, then send()
+		slot := m.pending.Put(response{
+			trigger: dp.ID, symbol: dp.Symbol, side: side, price: price, qty: qty,
+			deliveredAt: deliveredAt,
 		})
+		m.loop.Schedule(deliveredAt+sim.FromDuration(rtDelay), (*mpResponder)(m), slot)
 	}
+}
+
+// mpResponder is the MP as the sim.Handler of its response timers.
+type mpResponder MP
+
+// Fire submits the pending trade parked in slot.
+func (m *mpResponder) Fire(slot int) { (*MP)(m).respond(slot) }
+
+// respond submits the trade whose response time has passed.
+func (m *MP) respond(slot int) {
+	r := m.pending.Take(slot)
+	m.seq++
+	now := m.loop.Now()
+	m.trade = market.Trade{
+		MP: m.cfg.ID, Seq: m.seq, Symbol: r.symbol,
+		Side: r.side, Price: r.price, Qty: r.qty,
+		Trigger:   r.trigger,
+		Submitted: now,
+		// Ground truth is the *actual* response time — delivery
+		// to submission as measured on this node's clock — not
+		// the intended delay: under scheduler/GC pressure the
+		// timer can fire late, and the trade really was slower.
+		RT: now - r.deliveredAt,
+	}
+	m.m.tradesSubmitted.Inc()
+	m.m.response.Observe(int64(m.trade.RT))
+	m.rb.OnTrade(&m.trade) // tags the delivery clock, then send()
 }

@@ -6,7 +6,8 @@
 //
 // Every node of the live deployment (internal/node) owns one Loop. All
 // component state is touched only from the loop goroutine; network
-// receive goroutines hand messages in via Post. Each Loop's clock
+// receive goroutines hand messages in through an Inbox, and one-off
+// calls (a metrics scrape, start-up) through Post. Each Loop's clock
 // starts at its own construction instant, so two nodes' clocks are
 // genuinely unsynchronized — exactly the regime DBO is designed for.
 package rt
@@ -26,6 +27,7 @@ type Loop struct {
 	mu     sync.Mutex
 	timers sim.Queue // the kernel's queue: (at, push order), so equal deadlines fire in At order
 	msgs   []func()
+	boxes  []inbox // every Inbox made for this loop, in NewInbox order
 	wake   chan struct{}
 	done   chan struct{}
 	once   sync.Once
@@ -43,14 +45,20 @@ func NewLoop() *Loop {
 // Now returns the loop's monotonic local time.
 func (l *Loop) Now() sim.Time { return sim.Time(time.Since(l.start)) }
 
-// At schedules fn on the loop at local time t (clamped to now if in the
-// past — wall clocks move while callers compute). Safe from any goroutine.
-func (l *Loop) At(t sim.Time, fn func()) {
+// Schedule queues h.Fire(arg) on the loop at local time t (clamped to
+// now if in the past — wall clocks move while callers compute). A
+// component that is the Handler of its own timers schedules without a
+// closure. Safe from any goroutine.
+func (l *Loop) Schedule(t sim.Time, h sim.Handler, arg int) {
 	l.mu.Lock()
-	l.timers.Push(t, sim.Func(fn), 0)
+	l.timers.Push(t, h, arg)
 	l.mu.Unlock()
 	l.kick()
 }
+
+// At schedules fn on the loop at local time t; it is Schedule with the
+// func stored as the handler.
+func (l *Loop) At(t sim.Time, fn func()) { l.Schedule(t, sim.Func(fn), 0) }
 
 // Post enqueues fn to run on the loop goroutine as soon as possible.
 // Safe from any goroutine; this is how network receivers inject messages.
@@ -76,19 +84,26 @@ func (l *Loop) Stop() { l.once.Do(func() { close(l.done) }) }
 func (l *Loop) Run() {
 	tm := time.NewTimer(time.Hour)
 	defer tm.Stop()
-	// Posted messages and due timers are each swapped out under the lock
-	// and run outside it. The buffers they are swapped into belong to
-	// this goroutine and are re-used every iteration.
+	// Posted messages, inbox contents and due timers are each swapped out
+	// under the lock and run outside it. The buffers they are swapped
+	// into belong to this goroutine and are re-used every iteration.
 	var msgs []func()
 	var due []sim.Event
 	for {
-		// Drain posted messages first.
+		// Drain posted messages and inboxes first.
 		l.mu.Lock()
 		msgs, l.msgs = l.msgs, msgs[:0]
+		boxes := l.boxes
+		for _, b := range boxes {
+			b.swap()
+		}
 		l.mu.Unlock()
 		for i, fn := range msgs {
 			fn()
 			msgs[i] = nil
+		}
+		for _, b := range boxes {
+			b.drain()
 		}
 
 		// Run due timers and find the next deadline.
@@ -103,6 +118,9 @@ func (l *Loop) Run() {
 			wait = time.Duration(l.timers.MinAt() - now)
 		}
 		pending := len(l.msgs) > 0
+		for _, b := range l.boxes {
+			pending = pending || b.pending()
+		}
 		l.mu.Unlock()
 		for i := range due {
 			due[i].Fire()

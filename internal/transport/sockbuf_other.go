@@ -1,0 +1,7 @@
+//go:build !unix
+
+package transport
+
+// RcvBuf reports 0: the effective receive buffer is not read on this
+// platform.
+func (e *Endpoint) RcvBuf() int64 { return 0 }

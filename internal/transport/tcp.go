@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -23,44 +24,26 @@ import (
 // maxFrame bounds a frame to catch corrupt prefixes early.
 const maxFrame = 1 << 16
 
-// writeFrame appends one framed message to w. Frames the receiver would
-// reject as corrupt (payload larger than maxFrame) are refused at
-// encode time: sending one would poison the stream and kill the
-// connection on the far side.
-func writeFrame(w io.Writer, buf []byte, v any) ([]byte, error) {
-	buf = buf[:0]
-	buf = append(buf, 0, 0, 0, 0)
-	buf, err := wire.Append(buf, v)
-	if err != nil {
-		return buf, err
+// readFrame reads one framed message from r into m. scratch (capacity
+// at least 4) takes the length prefix and then the payload, and is
+// returned, grown if the payload needed it.
+func readFrame(r *bufio.Reader, scratch []byte, m *wire.Msg) ([]byte, error) {
+	hdr := scratch[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return scratch, err
 	}
-	if n := len(buf) - 4; n > maxFrame {
-		return buf, fmt.Errorf("transport: frame of %d bytes exceeds limit %d for %T", n, maxFrame, v)
-	}
-	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
-	_, err = w.Write(buf)
-	return buf, err
-}
-
-// readFrame reads one framed message from r.
-func readFrame(r *bufio.Reader, scratch []byte) (any, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, scratch, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n == 0 || n > maxFrame {
-		return nil, scratch, fmt.Errorf("transport: bad frame length %d", n)
+		return scratch, fmt.Errorf("transport: bad frame length %d", n)
 	}
 	if cap(scratch) < int(n) {
 		scratch = make([]byte, n)
 	}
 	scratch = scratch[:n]
 	if _, err := io.ReadFull(r, scratch); err != nil {
-		return nil, scratch, fmt.Errorf("transport: truncated frame: %w", err)
+		return scratch, fmt.Errorf("transport: truncated frame: %w", err)
 	}
-	v, err := wire.Decode(scratch)
-	return v, scratch, err
+	return scratch, wire.DecodeInto(m, scratch)
 }
 
 // TCPServer accepts framed-message connections.
@@ -94,9 +77,27 @@ func ListenTCP(addr string) (*TCPServer, error) {
 // Addr returns the bound address.
 func (s *TCPServer) Addr() net.Addr { return s.ln.Addr() }
 
-// Serve accepts connections and dispatches every received message to h
-// until Close. h runs on per-connection goroutines.
+// ServeMsg accepts connections and hands every received message to h
+// until Close. h runs on per-connection goroutines, each with its own
+// Msg under Endpoint.ServeMsg's ownership rule: yours for the call.
+func (s *TCPServer) ServeMsg(h func(m *wire.Msg, from netip.AddrPort)) error {
+	return s.accept(func(from netip.AddrPort) func(*wire.Msg) {
+		return func(m *wire.Msg) { h(m, from) }
+	})
+}
+
+// Serve is ServeMsg for a boxed handler. A connection has one peer, so
+// its address is converted once, not per message.
 func (s *TCPServer) Serve(h Handler) error {
+	return s.accept(func(from netip.AddrPort) func(*wire.Msg) {
+		ua := net.UDPAddrFromAddrPort(from)
+		return func(m *wire.Msg) { h(m.Value(), ua) }
+	})
+}
+
+// accept is the accept loop; bind makes a connection's handler from its
+// peer address.
+func (s *TCPServer) accept(bind func(from netip.AddrPort) func(*wire.Msg)) error {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
@@ -108,33 +109,33 @@ func (s *TCPServer) Serve(h Handler) error {
 		s.mu.Lock()
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		go s.serveConn(conn, h)
+		var from netip.AddrPort
+		if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
+			from = ta.AddrPort()
+		}
+		go s.serveConn(conn, bind(from))
 	}
 }
 
-func (s *TCPServer) serveConn(conn net.Conn, h Handler) {
+func (s *TCPServer) serveConn(conn net.Conn, h func(*wire.Msg)) {
 	defer func() {
 		_ = conn.Close() //dbo:vet-ignore errdrop teardown of an already-failed or drained conn
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	from, _ := conn.RemoteAddr().(*net.TCPAddr)
-	udpFrom := &net.UDPAddr{}
-	if from != nil {
-		udpFrom = &net.UDPAddr{IP: from.IP, Port: from.Port}
-	}
 	r := bufio.NewReader(conn)
 	scratch := make([]byte, 0, wire.MaxSize)
+	var m wire.Msg
 	for {
-		v, sc, err := readFrame(r, scratch)
+		sc, err := readFrame(r, scratch, &m)
 		scratch = sc
 		if err != nil {
 			s.finishConn(err)
 			return
 		}
 		s.received.Add(1)
-		h(v, udpFrom)
+		h(&m)
 	}
 }
 
@@ -179,15 +180,15 @@ func (s *TCPServer) Close() error {
 	return err
 }
 
-// TCPClient is a framed-message connection to a TCPServer. Sends are
+// TCPClient is a framed-message connection to a TCPServer. Writes are
 // serialized; TCP guarantees the in-order delivery DBO's reverse path
 // assumes.
 type TCPClient struct {
-	conn net.Conn
-	mu   sync.Mutex
-	buf  []byte
-	w    *bufio.Writer
-	sent atomic.Int64
+	conn  net.Conn
+	mu    sync.Mutex
+	frame []byte // length prefix + payload of the frame being written
+	enc   []byte // Send's encode buffer
+	sent  atomic.Int64
 }
 
 // DialTCP connects to a framed-TCP server.
@@ -201,24 +202,44 @@ func DialTCP(addr string) (*TCPClient, error) {
 		// keeps Nagle, which costs latency but not correctness.
 		_ = tc.SetNoDelay(true) //dbo:vet-ignore errdrop best-effort latency knob
 	}
-	return &TCPClient{conn: conn, buf: make([]byte, 0, wire.MaxSize+4), w: bufio.NewWriter(conn)}, nil
+	return &TCPClient{conn: conn, frame: make([]byte, 0, wire.MaxSize+4), enc: make([]byte, 0, wire.MaxSize)}, nil
 }
 
-// Send transmits one framed message and flushes immediately (these are
-// latency-critical trades, not bulk data).
-func (c *TCPClient) Send(v any) error {
+// Write transmits one already-encoded message as a frame, in a single
+// write (these are latency-critical trades, not bulk data).
+func (c *TCPClient) Write(b []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	buf, err := writeFrame(c.w, c.buf, v)
-	c.buf = buf
-	if err != nil {
-		return err
+	return c.write(b)
+}
+
+// write frames b and writes it; the caller holds c.mu. A frame the
+// receiver would reject as corrupt (payload larger than maxFrame) is
+// refused here: sending one would poison the stream and kill the
+// connection on the far side.
+func (c *TCPClient) write(b []byte) error {
+	if len(b) > maxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", len(b), maxFrame)
 	}
-	if err := c.w.Flush(); err != nil {
+	c.frame = binary.LittleEndian.AppendUint32(c.frame[:0], uint32(len(b)))
+	c.frame = append(c.frame, b...)
+	if _, err := c.conn.Write(c.frame); err != nil {
 		return fmt.Errorf("transport: tcp send: %w", err)
 	}
 	c.sent.Add(1)
 	return nil
+}
+
+// Send wire-encodes v and transmits it: the boxed form of Write.
+func (c *TCPClient) Send(v any) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	enc, err := wire.Append(c.enc[:0], v)
+	if err != nil {
+		return err
+	}
+	c.enc = enc[:0]
+	return c.write(enc)
 }
 
 // Sent reports messages written so far.

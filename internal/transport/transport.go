@@ -1,6 +1,7 @@
 // Package transport provides the UDP endpoints of the live deployment:
 // one socket per node, wire-encoded datagrams, and a receive loop that
-// hands decoded messages to a handler.
+// hands decoded messages to a handler. The typed calls (ServeMsg,
+// Write) are the live path; Serve and Send are their boxed forms.
 //
 // UDP matches the paper's deployment ("the UDP stream of market data
 // from the CES", §6.3); loss and reordering are handled one layer up
@@ -11,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -30,6 +32,12 @@ type Endpoint struct {
 	sent, received, decodeErrs atomic.Int64
 }
 
+// rcvBuf is the receive buffer every endpoint asks for. The default
+// holds ~256 small datagrams, which a saturated exchange overflows
+// silently; the kernel clamps the request to net.core.rmem_max, and
+// RcvBuf reports what was granted.
+const rcvBuf = 4 << 20
+
 // Listen opens a UDP endpoint on addr (use "127.0.0.1:0" for an
 // ephemeral loopback port).
 func Listen(addr string) (*Endpoint, error) {
@@ -41,13 +49,28 @@ func Listen(addr string) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", addr, err)
 	}
+	if err := conn.SetReadBuffer(rcvBuf); err != nil {
+		return nil, errors.Join(fmt.Errorf("transport: receive buffer of %q: %w", addr, err), conn.Close())
+	}
 	return &Endpoint{conn: conn, buf: make([]byte, 0, wire.MaxSize)}, nil
 }
 
 // LocalAddr returns the bound address.
 func (e *Endpoint) LocalAddr() *net.UDPAddr { return e.conn.LocalAddr().(*net.UDPAddr) }
 
-// Send wire-encodes v and transmits it to the destination.
+// Write transmits one already-encoded message to the destination. It
+// takes no lock and keeps no buffer: a caller that encodes once can
+// write the same bytes to many destinations.
+func (e *Endpoint) Write(b []byte, to netip.AddrPort) error {
+	if _, err := e.conn.WriteToUDPAddrPort(b, to); err != nil {
+		return fmt.Errorf("transport: send to %v: %w", to, err)
+	}
+	e.sent.Add(1)
+	return nil
+}
+
+// Send wire-encodes v and transmits it to the destination: the boxed
+// form of Write, safe for concurrent senders.
 func (e *Endpoint) Send(v any, to *net.UDPAddr) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -56,37 +79,46 @@ func (e *Endpoint) Send(v any, to *net.UDPAddr) error {
 		return err
 	}
 	e.buf = buf[:0]
-	if _, err := e.conn.WriteToUDP(buf, to); err != nil {
-		return fmt.Errorf("transport: send to %v: %w", to, err)
-	}
-	e.sent.Add(1)
-	return nil
+	return e.Write(buf, to.AddrPort())
 }
 
-// Handler consumes one decoded message.
-type Handler func(v any, from *net.UDPAddr)
-
-// Serve reads datagrams and dispatches them to h until Close. Run it on
-// its own goroutine; h is called on that goroutine, so handlers that
-// touch node state must Post into the node's loop.
-func (e *Endpoint) Serve(h Handler) error {
+// ServeMsg reads datagrams and hands each decoded message to h until
+// Close. Run it on its own goroutine; h is called on that goroutine, so
+// handlers that touch node state must cross into the node's loop.
+//
+// The *wire.Msg is the reader's own and is yours for the call only: the
+// next datagram is decoded into it. A handler that keeps anything
+// copies it out, and must not keep m.Probe.Pad, which is storage the
+// reader re-uses.
+func (e *Endpoint) ServeMsg(h func(m *wire.Msg, from netip.AddrPort)) error {
 	buf := make([]byte, 64*1024)
+	var m wire.Msg
 	for {
-		n, from, err := e.conn.ReadFromUDP(buf)
+		n, from, err := e.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if e.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return fmt.Errorf("transport: read: %w", err)
 		}
-		v, err := wire.Decode(buf[:n])
-		if err != nil {
+		if err := wire.DecodeInto(&m, buf[:n]); err != nil {
 			e.decodeErrs.Add(1) // a malformed datagram must not kill the node
 			continue
 		}
 		e.received.Add(1)
-		h(v, from)
+		h(&m, from)
 	}
+}
+
+// Handler consumes one decoded message, boxed.
+type Handler func(v any, from *net.UDPAddr)
+
+// Serve is ServeMsg for a boxed handler: each message is copied out of
+// the reader's Msg (wire.Msg.Value), so h may keep it.
+func (e *Endpoint) Serve(h Handler) error {
+	return e.ServeMsg(func(m *wire.Msg, from netip.AddrPort) {
+		h(m.Value(), net.UDPAddrFromAddrPort(from))
+	})
 }
 
 // Stats reports (sent, received, decode errors).

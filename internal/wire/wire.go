@@ -11,6 +11,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"dbo/internal/market"
 	"dbo/internal/sim"
@@ -369,35 +370,44 @@ func DecodeInto(m *Msg, buf []byte) error {
 	}
 }
 
-// Decode parses one message, returning the typed value:
+// Value boxes the populated field as the typed value Decode returns:
 // market.DataPoint, *market.Trade, market.Heartbeat, Retx, Close, Exec,
-// Probe, ProbeReply.
-// It boxes the result (and heap-allocates the Trade); hot receive
-// loops use DecodeInto instead.
+// Probe, ProbeReply. The value owns its storage (the Trade is a fresh
+// heap copy, a Probe's Pad is cloned), so it outlives m. This is the
+// one place a decoded message meets an interface; the live path
+// switches on m.Type instead.
+func (m *Msg) Value() any {
+	switch m.Type {
+	case TMarketData:
+		return m.Data
+	case TTrade:
+		t := m.Trade
+		return &t
+	case THeartbeat:
+		return m.Heartbeat
+	case TRetx:
+		return m.Retx
+	case TClose:
+		return m.Close
+	case TProbe:
+		p := m.Probe
+		p.Pad = slices.Clone(p.Pad)
+		return p
+	case TProbeReply:
+		return m.ProbeReply
+	default:
+		return m.Exec
+	}
+}
+
+// Decode parses one message into a fresh Msg and boxes it (see Value).
+// Hot receive loops use DecodeInto instead.
 func Decode(buf []byte) (any, error) {
 	var m Msg
 	if err := DecodeInto(&m, buf); err != nil {
 		return nil, err
 	}
-	switch m.Type {
-	case TMarketData:
-		return m.Data, nil
-	case TTrade:
-		t := m.Trade
-		return &t, nil
-	case THeartbeat:
-		return m.Heartbeat, nil
-	case TRetx:
-		return m.Retx, nil
-	case TClose:
-		return m.Close, nil
-	case TProbe:
-		return m.Probe, nil
-	case TProbeReply:
-		return m.ProbeReply, nil
-	default:
-		return m.Exec, nil
-	}
+	return m.Value(), nil
 }
 
 // Append encodes any supported message value (the dynamic counterpart
