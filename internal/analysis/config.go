@@ -202,6 +202,14 @@ func Default() *Config {
 			{Pkg: "internal/transport", Func: "(Endpoint).Write"},
 			{Pkg: "internal/node", Func: "(CES).onMessage"},
 			{Pkg: "internal/node", Func: "(MP).onMessage"},
+			// One order into the matching engine: a submit that crosses,
+			// rests or both, and a cancel (the runtime probe is
+			// TestSubmitZeroAlloc). The rejection returns build an error,
+			// which the rule treats as cold; the one ignore is the book
+			// built on a symbol's first order.
+			{Pkg: "internal/lob", Func: "(Engine).Submit"},
+			{Pkg: "internal/lob", Func: "(Book).SubmitTIF"},
+			{Pkg: "internal/lob", Func: "(Book).Cancel"},
 		},
 		DetSurfaces: []string{
 			// The seeded replay pipeline: identical seeds must produce
@@ -241,6 +249,7 @@ func Default() *Config {
 			"internal/netsim",
 			"internal/rt",
 			"internal/transport",
+			"internal/lob",
 		},
 	}
 }

@@ -762,7 +762,7 @@ func (h *harness) score() *Result {
 	r := &Result{
 		Scheme:     h.cfg.Scheme,
 		DataPoints: len(h.genTimes),
-		Executions: len(h.engine.Execs),
+		Executions: h.engine.Executions(),
 	}
 	// Anything still un-forwarded was lost (network loss, OB stall, ...).
 	for _, t := range h.submitted {
@@ -777,16 +777,16 @@ func (h *harness) score() *Result {
 			h.tracker.RecordLost(t)
 		}
 	}
-	r.Fairness = h.tracker.Fairness()
-	r.FairRatio = h.tracker.Ratio()
+	r.FairRatio, r.Violations = h.tracker.Score(16)
+	r.Fairness = r.FairRatio.Value()
 	r.Latency = h.latency.Summarize()
 	r.MaxRTT = h.maxRTT.Summarize()
 	r.Trades = h.latency.N()
 	r.Races = h.tracker.Races()
-	r.Violations = h.tracker.Violations(16)
 	r.HeartbeatsSent = h.beats
-	r.ExternalFairness = h.extTracker.Fairness()
-	r.ExternalPairs = h.extTracker.Ratio().Total
+	ext := h.extTracker.Ratio()
+	r.ExternalFairness = ext.Value()
+	r.ExternalPairs = ext.Total
 	r.TradeLog = h.tradeLog
 
 	if h.ob != nil {

@@ -1,8 +1,11 @@
 package exchange
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
+	"dbo/internal/fairness"
 	"dbo/internal/sim"
 	"dbo/internal/trace"
 )
@@ -70,6 +73,24 @@ func TestDeterministicRuns(t *testing.T) {
 	c := Run(short(DBO, 43))
 	if a.Latency == c.Latency {
 		t.Fatal("different seeds produced identical latency summary")
+	}
+}
+
+// The first violations a seeded run reports are part of its output
+// (dbo-sim prints them), so they must repeat like every other number.
+func TestDeterministicViolations(t *testing.T) {
+	t.Parallel()
+	a := Run(short(Direct, 42))
+	if len(a.Violations) != 16 {
+		t.Fatalf("direct run reported %d violations, want the cap of 16", len(a.Violations))
+	}
+	for i := 0; i < 4; i++ {
+		if b := Run(short(Direct, 42)); !slices.Equal(a.Violations, b.Violations) {
+			t.Fatalf("same seed, different violations:\n%+v\n%+v", a.Violations, b.Violations)
+		}
+	}
+	if !slices.IsSortedFunc(a.Violations, func(x, y fairness.Violation) int { return cmp.Compare(x.Trigger, y.Trigger) }) {
+		t.Fatalf("violations not in ascending trigger order: %+v", a.Violations)
 	}
 }
 

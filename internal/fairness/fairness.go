@@ -15,6 +15,8 @@
 package fairness
 
 import (
+	"slices"
+
 	"dbo/internal/market"
 	"dbo/internal/sim"
 	"dbo/internal/stats"
@@ -75,26 +77,39 @@ type Violation struct {
 // trades (same trigger, different MPs, strictly different response
 // times). A pair is correct when the lower-RT trade executed first.
 func (t *Tracker) Fairness() float64 {
-	r, _ := t.score(nil)
+	r := t.Ratio()
 	return r.Value()
 }
 
 // Ratio returns the fairness counter itself (correct, total).
 func (t *Tracker) Ratio() stats.Ratio {
-	r, _ := t.score(nil)
+	r, _ := t.score(false, 0)
 	return r
 }
 
-// Violations returns up to max mis-ordered pairs (max ≤ 0 = all).
+// Violations returns up to max mis-ordered pairs (max ≤ 0 = all), in
+// ascending trigger order.
 func (t *Tracker) Violations(max int) []Violation {
-	_, v := t.score(&max)
+	_, v := t.score(true, max)
 	return v
 }
 
-func (t *Tracker) score(maxViol *int) (stats.Ratio, []Violation) {
+// Score returns the fairness counter and up to max mis-ordered pairs
+// (max ≤ 0 = all) from one pass over the races.
+func (t *Tracker) Score(max int) (stats.Ratio, []Violation) { return t.score(true, max) }
+
+// score visits triggers in ascending id, so a seeded run reports the
+// same violations every time.
+func (t *Tracker) score(collect bool, max int) (stats.Ratio, []Violation) {
+	trigs := make([]market.PointID, 0, len(t.races))
+	for trig := range t.races {
+		trigs = append(trigs, trig)
+	}
+	slices.Sort(trigs)
 	var r stats.Ratio
 	var viols []Violation
-	for trig, outs := range t.races {
+	for _, trig := range trigs {
+		outs := t.races[trig]
 		for i := 0; i < len(outs); i++ {
 			for j := i + 1; j < len(outs); j++ {
 				a, b := outs[i], outs[j]
@@ -106,7 +121,7 @@ func (t *Tracker) score(maxViol *int) (stats.Ratio, []Violation) {
 				}
 				ok := !a.Lost && (b.Lost || a.Pos < b.Pos)
 				r.Observe(ok)
-				if !ok && maxViol != nil && (*maxViol <= 0 || len(viols) < *maxViol) {
+				if !ok && collect && (max <= 0 || len(viols) < max) {
 					viols = append(viols, Violation{Trigger: trig, Faster: a, Slower: b})
 				}
 			}

@@ -2,6 +2,7 @@ package fairness
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +123,31 @@ func TestViolationsCapped(t *testing.T) {
 	}
 	if got := len(tr.Violations(0)); got != 45 {
 		t.Errorf("all violations = %d, want C(10,2)", got)
+	}
+}
+
+// Violations come out in ascending trigger order whatever order the
+// races were recorded in, and Score agrees with Ratio and Violations.
+func TestScoreVisitsTriggersInOrder(t *testing.T) {
+	t.Parallel()
+	tr := NewTracker()
+	for _, trig := range []market.PointID{40, 7, 23, 1, 99, 15} {
+		tr.Record(mk(1, trig, 20, 0)) // slower executed first
+		tr.Record(mk(2, trig, 10, 1))
+	}
+	r, v := tr.Score(4)
+	if r != tr.Ratio() || r.Total != 6 || r.Correct != 0 {
+		t.Errorf("score ratio = %+v, Ratio() = %+v", r, tr.Ratio())
+	}
+	var got []market.PointID
+	for _, x := range v {
+		got = append(got, x.Trigger)
+	}
+	if !slices.Equal(got, []market.PointID{1, 7, 15, 23}) {
+		t.Errorf("first four violations at triggers %v, want 1 7 15 23", got)
+	}
+	if !slices.Equal(v, tr.Violations(4)) {
+		t.Errorf("Score and Violations disagree")
 	}
 }
 

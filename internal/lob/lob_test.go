@@ -3,6 +3,7 @@ package lob
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -207,8 +208,8 @@ func TestEngineMultiSymbol(t *testing.T) {
 	if e.Orders() != 3 {
 		t.Fatalf("orders = %d", e.Orders())
 	}
-	if len(e.Execs) != 1 {
-		t.Fatalf("exec log = %v", e.Execs)
+	if e.Executions() != 1 {
+		t.Fatalf("executions = %d", e.Executions())
 	}
 }
 
@@ -218,11 +219,46 @@ func TestEngineExecSeqMonotone(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.Submit(1, 1, Sell, 100, 1)
 	}
-	e.Submit(1, 2, Buy, 100, 10)
-	for i := 1; i < len(e.Execs); i++ {
-		if e.Execs[i].Seq <= e.Execs[i-1].Seq {
-			t.Fatal("exec seq not monotone")
+	var last uint64
+	for _, qty := range []int64{4, 6} {
+		_, ex, err := e.Submit(1, 2, Buy, 100, qty)
+		if err != nil || int64(len(ex)) != qty {
+			t.Fatalf("ex=%v err=%v", ex, err)
 		}
+		for _, x := range ex {
+			if x.Seq <= last {
+				t.Fatal("exec seq not monotone")
+			}
+			last = x.Seq
+		}
+	}
+	if e.Executions() != 10 {
+		t.Fatalf("executions = %d", e.Executions())
+	}
+}
+
+// Two symbols on one engine report to the same participants, so their
+// execution sequence numbers must not collide.
+func TestEngineExecSeqGlobalAcrossSymbols(t *testing.T) {
+	t.Parallel()
+	e := NewEngine()
+	var seqs []uint64
+	for _, sym := range []uint32{1, 2, 1, 2} {
+		e.Submit(sym, 1, Sell, 100, 1)
+		_, ex, err := e.Submit(sym, 2, Buy, 100, 1)
+		if err != nil || len(ex) != 1 {
+			t.Fatalf("symbol %d: ex=%v err=%v", sym, ex, err)
+		}
+		seqs = append(seqs, ex[0].Seq)
+	}
+	if !slices.Equal(seqs, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("exec seqs across symbols = %v, want 1 2 3 4", seqs)
+	}
+	// A bare book keeps its own counter.
+	b := NewBook()
+	mustSubmit(t, b, Order{ID: 1, Side: Sell, Price: 100, Qty: 1})
+	if ex, _ := b.Submit(Order{ID: 2, Side: Buy, Price: 100, Qty: 1}); len(ex) != 1 || ex[0].Seq != 1 {
+		t.Fatalf("bare book exec = %v, want seq 1", ex)
 	}
 }
 

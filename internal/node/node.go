@@ -606,6 +606,8 @@ func (c *CES) onForward(t *market.Trade) {
 	if t.Side == market.Sell {
 		side = lob.Sell
 	}
+	// execs is borrowed from the engine until its next submit, which is
+	// this function's next call: everything below consumes it in place.
 	_, execs, err := c.engine.Submit(t.Symbol, int32(t.MP), side, t.Price, t.Qty)
 	if err != nil {
 		return // duplicate/bad orders are dropped, not fatal
