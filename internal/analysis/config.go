@@ -173,6 +173,10 @@ func Default() *Config {
 			{Pkg: "internal/core", Func: "(OrderingBuffer).Tick"},
 			{Pkg: "internal/core", Func: "(ReleaseBuffer).OnData"},
 			{Pkg: "internal/core", Func: "(ReleaseBuffer).OnTrade"},
+			// The paced release's timer entry: scheduled as a stored func
+			// value, which the call graph does not follow from tryRelease
+			// (the runtime probe is TestPacedReleaseZeroAlloc).
+			{Pkg: "internal/core", Func: "(ReleaseBuffer).firePaced"},
 			{Pkg: "internal/core", Func: "(ShardedOB).Tick"},
 			{Pkg: "internal/market", Func: "(TradePool).Get"},
 			{Pkg: "internal/market", Func: "(TradePool).Put"},

@@ -185,7 +185,9 @@ func New(cfg Config) *Auditor {
 }
 
 // OnDeliver observes a batch delivery to mp at time at (scheduler
-// clock). It runs the δ-gap and batch-atomicity checks.
+// clock). It runs the δ-gap and batch-atomicity checks. The batch is
+// borrowed for the call (a release buffer may recycle it): only its id
+// and a value signature of its points are kept.
 func (a *Auditor) OnDeliver(mp market.ParticipantID, b *market.Batch, at sim.Time) {
 	if a == nil {
 		return

@@ -84,6 +84,7 @@ type ReleaseBuffer struct {
 	lastRelease sim.Time // local time of the previous batch release
 	released    bool     // at least one batch released
 	pendingAt   sim.Time // global time of the scheduled release (-1 = none)
+	paced       func()   // firePaced, bound once: a paced release schedules it without building a closure
 	expectNext  market.PointID
 	missing     map[market.PointID]bool
 	stopped     bool
@@ -108,7 +109,9 @@ func NewReleaseBuffer(cfg ReleaseBufferConfig) *ReleaseBuffer {
 	if cfg.Local == nil {
 		cfg.Local = clock.Perfect{}
 	}
-	return &ReleaseBuffer{cfg: cfg, pendingAt: -1, expectNext: 1, missing: make(map[market.PointID]bool)}
+	rb := &ReleaseBuffer{cfg: cfg, pendingAt: -1, expectNext: 1, missing: make(map[market.PointID]bool)}
+	rb.paced = rb.firePaced
+	return rb
 }
 
 func (rb *ReleaseBuffer) localNow() sim.Time { return rb.cfg.Local.Now(rb.cfg.Sched.Now()) }
@@ -267,12 +270,15 @@ func (rb *ReleaseBuffer) tryRelease() {
 		return
 	}
 	rb.pendingAt = rb.cfg.Sched.Now() + wait
-	rb.cfg.Sched.At(rb.pendingAt, func() {
-		rb.pendingAt = -1
-		if !rb.stopped {
-			rb.release()
-		}
-	})
+	rb.cfg.Sched.At(rb.pendingAt, rb.paced)
+}
+
+// firePaced is the scheduled release tryRelease armed.
+func (rb *ReleaseBuffer) firePaced() {
+	rb.pendingAt = -1
+	if !rb.stopped {
+		rb.release()
+	}
 }
 
 // maxFreeBatches bounds the batch free list; a pacing backlog burst

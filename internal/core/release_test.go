@@ -491,3 +491,66 @@ func TestRBSyncOffsetStillPaces(t *testing.T) {
 		t.Fatalf("gap %v < δ with sync offset enabled", gap)
 	}
 }
+
+// oneTimer is a manual scheduler holding the one timer an RB arms at a
+// time: the test moves the clock and fires it.
+type oneTimer struct {
+	now, at sim.Time
+	fn      func()
+	firing  bool
+}
+
+func (s *oneTimer) Now() sim.Time            { return s.now }
+func (s *oneTimer) At(t sim.Time, fn func()) { s.at, s.fn = t, fn }
+
+// fire runs armed timers in turn, each at its instant, until none is left.
+func (s *oneTimer) fire() {
+	for s.fn != nil {
+		fn := s.fn
+		s.fn = nil
+		s.now = s.at
+		s.firing = true
+		fn()
+		s.firing = false
+	}
+}
+
+// Batches that complete closer together than δ take the pacing branch:
+// a release scheduled on the timer. It schedules the func the RB bound at
+// construction, so a paced release costs no heap object.
+func TestPacedReleaseZeroAlloc(t *testing.T) {
+	const delta = 20 * sim.Microsecond
+	s := &oneTimer{}
+	var paced int
+	rb := NewReleaseBuffer(ReleaseBufferConfig{
+		MP: 1, Delta: delta, Sched: s, RecycleBatches: true,
+		Deliver: func(*market.Batch) {
+			if s.firing {
+				paced++
+			}
+		},
+		Send: func(any) {},
+	})
+	var id market.PointID
+	step := func() {
+		// Two batches complete δ/4 apart: at least the second must wait.
+		for i := 0; i < 2; i++ {
+			id++
+			s.now += delta / 4
+			rb.OnData(dp(id, market.BatchID(id), true))
+		}
+		s.fire()
+	}
+	for i := 0; i < 64; i++ {
+		step() // warm: the queue and the free list reach their working size
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("a paced release allocates %.1f objects per two batches, want 0", allocs)
+	}
+	if paced == 0 || rb.QueueLen() != 0 {
+		t.Fatalf("paced deliveries = %d, queue = %d: the pacing branch was not exercised", paced, rb.QueueLen())
+	}
+	if got, want := rb.BatchesDelivered, int(id); got != want {
+		t.Fatalf("delivered %d of %d batches", got, want)
+	}
+}

@@ -46,6 +46,17 @@ func (s *rawSocket) write(t testing.TB, b []byte, to netip.AddrPort) {
 	}
 }
 
+// heartbeats sends one heartbeat for each of participants 1..mps at the
+// delivery clock order() gives elapsed: the round that releases every
+// trade submitted before it.
+func (s *rawSocket) heartbeats(t testing.TB, to netip.AddrPort, mps int, elapsed sim.Time) {
+	for mp := 1; mp <= mps; mp++ {
+		hb := market.Heartbeat{MP: market.ParticipantID(mp), DC: market.DeliveryClock{Point: 1, Elapsed: 1000 * elapsed}}
+		s.buf = wire.AppendHeartbeat(s.buf[:0], hb)
+		s.write(t, s.buf, to)
+	}
+}
+
 // next reads datagrams until one of type tag arrives and returns a copy
 // of it, or nil if none does within the wait.
 func (s *rawSocket) next(t testing.TB, tag byte, wait time.Duration) []byte {
@@ -119,6 +130,67 @@ func order(mp market.ParticipantID, seq market.TradeSeq, elapsed sim.Time) marke
 	}
 }
 
+// ingestFleet is mps participants behind one raw socket — a gateway, or
+// dbo-load's synthetic fleet — driving crossing trades into a started
+// CES in bursts, each released by a heartbeat round and waited for, so
+// nothing piles up in a socket buffer. A reader drains what comes back.
+type ingestFleet struct {
+	sock      *rawSocket
+	ces       *CES
+	mps       int
+	forwarded atomic.Int64
+	seq       market.TradeSeq
+	sent      int64
+	elapsed   sim.Time
+}
+
+func startIngestFleet(t *testing.T, mps int) *ingestFleet {
+	t.Helper()
+	f := &ingestFleet{sock: newRawSocket(t), mps: mps}
+	var drained sync.WaitGroup
+	drained.Add(1)
+	go func() {
+		defer drained.Done()
+		buf := make([]byte, 2048)
+		for {
+			if _, _, err := f.sock.conn.ReadFromUDPAddrPort(buf); err != nil {
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() { f.sock.conn.Close(); drained.Wait() })
+	addrs := make([]string, mps)
+	for i := range addrs {
+		addrs[i] = f.sock.addr()
+	}
+	f.ces = startIngestCES(t, addrs, func(*market.Trade) { f.forwarded.Add(1) })
+	return f
+}
+
+// run sends n bursts of burst trades and returns once all are forwarded.
+func (f *ingestFleet) run(t *testing.T, n, burst int) {
+	t.Helper()
+	to := f.ces.Addr().AddrPort()
+	for b := 0; b < n; b++ {
+		for i := 0; i < burst; i++ {
+			f.seq++
+			f.elapsed++
+			tr := order(market.ParticipantID(i%f.mps+1), f.seq, f.elapsed)
+			f.sock.buf = wire.AppendTrade(f.sock.buf[:0], &tr)
+			f.sock.write(t, f.sock.buf, to)
+			f.sent++
+		}
+		f.elapsed++
+		f.sock.heartbeats(t, to, f.mps, f.elapsed)
+		for deadline := time.Now().Add(5 * time.Second); f.forwarded.Load() < f.sent; {
+			if time.Now().After(deadline) {
+				t.Fatalf("forwarded %d of %d trades", f.forwarded.Load(), f.sent)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+}
+
 // TestLiveIngestAllocBudget holds the live ingest path — socket read,
 // decode, the crossing onto the loop, ordering buffer, matching engine,
 // execution reports out — to one and a half heap objects per forwarded
@@ -131,70 +203,19 @@ func TestLiveIngestAllocBudget(t *testing.T) {
 		t.Skip("live ingest needs real sockets and real time")
 	}
 	const mps, burst, bursts = 4, 64, 150
-	fleet := newRawSocket(t)
-	// The fleet's reader drains market data and execution reports.
-	var drained sync.WaitGroup
-	drained.Add(1)
-	go func() {
-		defer drained.Done()
-		buf := make([]byte, 2048)
-		for {
-			if _, _, err := fleet.conn.ReadFromUDPAddrPort(buf); err != nil {
-				return
-			}
-		}
-	}()
-	t.Cleanup(func() { fleet.conn.Close(); drained.Wait() })
-
-	var forwarded atomic.Int64
-	addrs := make([]string, mps)
-	for i := range addrs {
-		addrs[i] = fleet.addr()
-	}
-	ces := startIngestCES(t, addrs, func(*market.Trade) { forwarded.Add(1) })
-	to := ces.Addr().AddrPort()
-
-	var seq market.TradeSeq
-	var sent int64
-	var elapsed sim.Time
-	// run sends n bursts; each is released by a heartbeat round and
-	// waited for, so nothing piles up in a socket buffer.
-	run := func(n int) {
-		for b := 0; b < n; b++ {
-			for i := 0; i < burst; i++ {
-				seq++
-				elapsed++
-				tr := order(market.ParticipantID(i%mps+1), seq, elapsed)
-				fleet.buf = wire.AppendTrade(fleet.buf[:0], &tr)
-				fleet.write(t, fleet.buf, to)
-				sent++
-			}
-			elapsed++
-			for mp := 1; mp <= mps; mp++ {
-				hb := market.Heartbeat{MP: market.ParticipantID(mp), DC: market.DeliveryClock{Point: 1, Elapsed: 1000 * elapsed}}
-				fleet.buf = wire.AppendHeartbeat(fleet.buf[:0], hb)
-				fleet.write(t, fleet.buf, to)
-			}
-			for deadline := time.Now().Add(5 * time.Second); forwarded.Load() < sent; {
-				if time.Now().After(deadline) {
-					t.Fatalf("forwarded %d of %d trades", forwarded.Load(), sent)
-				}
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}
-	run(20) // warm-up: slices, maps and the book reach their working size
+	f := startIngestFleet(t, mps)
+	f.run(t, 20, burst) // warm-up: slices, maps and the book reach their working size
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	run(bursts)
+	f.run(t, bursts, burst)
 	runtime.ReadMemStats(&after)
 
 	const budget = 1.5
 	trades := float64(burst * bursts)
 	perTrade := float64(after.Mallocs-before.Mallocs) / trades
 	t.Logf("%.2f objects per forwarded trade over %.0f trades, %.2f fills per trade, %d datagrams dropped at the socket",
-		perTrade, trades, float64(ces.Executions())/float64(sent), ces.Metrics().Snapshot()["udp_rx_dropped"])
+		perTrade, trades, float64(f.ces.Executions())/float64(f.sent), f.ces.Metrics().Snapshot()["udp_rx_dropped"])
 	if perTrade > budget {
 		t.Fatalf(`%.2f heap objects per forwarded trade, budget %.1f. Per-message sites that must stay at zero — profile with
   go test ./internal/node -run TestLiveIngestAllocBudget -memprofile mem.prof -memprofilerate 1
@@ -203,12 +224,47 @@ and look for:
   net.(*UDPConn).ReadFromUDP              a *UDPAddr and its IP per datagram (ServeMsg reads with ReadFromUDPAddrPort)
   wire.Decode / (*Msg).Value              the message boxed into any (the live path uses DecodeInto and m.Type)
   node.cross / rt.(*Loop).Post            a closure per message (the crossing is rt.Inbox.Put, by value)
-  node.(*CES).onForward / reportTo        an exec boxed or encoded per counterparty (encoded once into c.buf)
+  node.(*CES).onForward / report          an exec boxed or encoded per counterparty (encoded once into c.buf)
   metrics.(*Registry).Counter             not an object, but a mutex and a map lookup per message
   node.(*CES).tick                        a closure per re-arm (the tick is Loop.Schedule with the index as arg)
   lob.(*Book).SubmitTIF                   a resting order or a fills slice per submit (slab and borrowed scratch)
 Expected to remain: node.(*CES).onMessage (the trade, 1.00).`,
 			perTrade, budget)
+	}
+}
+
+// TestIngestDatagramBudget counts what the exchange writes for a fleet
+// that is one endpoint: beside the market data (one copy per participant
+// per tick) it is exactly one datagram per fill, whichever two of the
+// fleet's ids were its sides.
+func TestIngestDatagramBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live ingest needs real sockets and real time")
+	}
+	const mps, burst, bursts = 4, 64, 40
+	f := startIngestFleet(t, mps)
+	f.run(t, bursts, burst)
+
+	// Read on the loop, between two of its events, so the three counts
+	// are of the same instant while the tick keeps running.
+	type counts struct{ written, points, fills, reports int64 }
+	ch := make(chan counts, 1)
+	f.ces.loop.Post(func() {
+		written, _, _ := f.ces.ep.Stats()
+		ch <- counts{
+			written: written, points: f.ces.m.dataPoints.Value(),
+			fills: f.ces.m.executions.Value(), reports: f.ces.m.execReportsSent.Value(),
+		}
+	})
+	c := <-ch
+	if c.fills < int64(burst*bursts)/4 {
+		t.Fatalf("%d fills from %d crossing trades: the workload did not cross", c.fills, burst*bursts)
+	}
+	if got := c.written - c.points*mps; got != c.fills {
+		t.Errorf("%d datagrams beside market data for %d fills, want one each", got, c.fills)
+	}
+	if c.reports != c.fills {
+		t.Errorf("exec_reports_sent = %d for %d fills", c.reports, c.fills)
 	}
 }
 
@@ -264,6 +320,69 @@ func TestExecEncodedOnceReachesBothOwners(t *testing.T) {
 	}
 	if stray := b.next(t, wire.TExec, 50*time.Millisecond); stray != nil {
 		t.Fatal("MP 2 got a report of a fill it had no side of")
+	}
+}
+
+// Execution reports go out by endpoint, not by owner: two ids behind one
+// socket share one datagram per fill (it names both), an id on its own
+// socket still gets its own copy, and an owner the CES does not know
+// takes nothing away from the one it does.
+func TestExecOncePerEndpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live ingest needs real sockets and real time")
+	}
+	gw, solo := newRawSocket(t), newRawSocket(t) // ids 1 and 2 behind gw, id 3 on solo
+	ces := startIngestCES(t, []string{gw.addr(), gw.addr(), solo.addr()}, nil)
+	to := ces.Addr().AddrPort()
+	elapsed := sim.Time(0)
+	var seq market.TradeSeq
+	// cross rests a buy of maker's and sells taker's into it, releases
+	// both, and checks each socket got exactly the reports wanted of it
+	// (one or none), naming both owners, the same bytes at both.
+	cross := func(maker, taker market.ParticipantID, wantGW, wantSolo bool) {
+		t.Helper()
+		for _, mp := range []market.ParticipantID{maker, taker} {
+			seq++ // odd buys, even sells
+			elapsed++
+			tr := order(mp, seq, elapsed)
+			gw.write(t, wire.AppendTrade(nil, &tr), to)
+		}
+		elapsed++
+		gw.heartbeats(t, to, 3, elapsed)
+		// Wanted reports are waited for first: once one is in, the fill
+		// has been written everywhere it will be, and a short wait shows
+		// a copy that should not exist.
+		var got [2][]byte
+		for i, s := range []*rawSocket{gw, solo} {
+			if (i == 0 && !wantGW) || (i == 1 && !wantSolo) {
+				continue
+			}
+			if got[i] = s.next(t, wire.TExec, 5*time.Second); got[i] == nil {
+				t.Fatalf("fill %d×%d: no report on socket %d", maker, taker, i)
+			}
+			var m wire.Msg
+			if err := wire.DecodeInto(&m, got[i]); err != nil {
+				t.Fatal(err)
+			}
+			if m.Exec.MakerOwner != int32(maker) || m.Exec.TakerOwner != int32(taker) {
+				t.Fatalf("fill %d×%d reported as %+v", maker, taker, m.Exec)
+			}
+		}
+		for i, s := range []*rawSocket{gw, solo} {
+			if s.next(t, wire.TExec, 50*time.Millisecond) != nil {
+				t.Fatalf("fill %d×%d: socket %d got a report too many", maker, taker, i)
+			}
+		}
+		if wantGW && wantSolo && !bytes.Equal(got[0], got[1]) {
+			t.Fatalf("fill %d×%d: the two endpoints got different reports:\n%x\n%x", maker, taker, got[0], got[1])
+		}
+	}
+	cross(1, 2, true, false) // both sides behind the one socket: one datagram
+	cross(1, 3, true, true)  // two endpoints: one copy each
+	cross(9, 3, false, true) // an unknown maker does not cost the taker its report
+	cross(2, 9, true, false) // nor an unknown taker the maker its
+	if got := ces.Metrics().Counter("exec_reports_sent").Value(); got != 5 {
+		t.Fatalf("exec_reports_sent = %d, want 5 (1 + 2 + 1 + 1)", got)
 	}
 }
 

@@ -14,6 +14,20 @@
 // switches on its type. Outbound, the loop encodes into a buffer it
 // owns and writes the bytes (transport.Write), once per message however
 // many destinations it has.
+//
+// Who is a destination depends on the message. Market data and probes go
+// to every participant: each release buffer is owed its own copy, and a
+// probe carries the id it measures. An execution report goes to every
+// distinct endpoint among its two owners: the report names both, so ids
+// that share an address (a gateway hosting several participants, a
+// self-cross) are served by one datagram. The CES resolves the distinct
+// addresses once, in Start.
+//
+// The market-data tick keeps its own schedule (tickDeadline): each
+// deadline is one interval after the previous deadline, not after the
+// previous fire, so timer lateness does not compound and the feed runs
+// at its configured rate. The MP's release buffer recycles its batches:
+// what MPConfig.OnDeliver is handed is borrowed for the call.
 package node
 
 import (
@@ -143,13 +157,19 @@ type CES struct {
 	m      cesMetrics
 
 	// Loop goroutine only. buf holds the one message being sent: encoded
-	// once, written to each destination. addrs is the fan-out list in
-	// cfg.MPs order; peers finds one participant by id (an exec's owner,
-	// a heartbeat's sender) as peers[id-peerBase].
+	// once, written to each destination. addrs is the per-participant
+	// fan-out list in cfg.MPs order (market data and probes: every RB is
+	// owed its own copy); eps is the distinct addresses among them in
+	// first-seen order (execution reports: one per socket, however many
+	// ids it hosts); peers finds one participant by id (an exec's owner,
+	// a heartbeat's sender) as peers[id-peerBase]. nextTick is the
+	// deadline of the market-data tick that is armed.
 	buf      []byte
 	addrs    []netip.AddrPort
+	eps      []netip.AddrPort
 	peers    []peer
 	peerBase int
+	nextTick sim.Time
 
 	// RTT probing (loop goroutine only, except the Prober internals
 	// which are safe anywhere).
@@ -169,6 +189,7 @@ type CES struct {
 // peer is what the CES keeps per participant.
 type peer struct {
 	addr   netip.AddrPort // zero for an id inside the range that no participant has
+	ep     int            // index of addr in CES.eps
 	lastHB sim.Time       // arrival of its latest heartbeat, for the staleness histogram; -1 before the first
 }
 
@@ -183,6 +204,7 @@ type cesMetrics struct {
 	dataPoints, batchesSealed          *metrics.Counter
 	tradesReceived, heartbeatsReceived *metrics.Counter
 	tradesForwarded, executions        *metrics.Counter
+	execReportsSent                    *metrics.Counter
 	obHold, response, hbStaleness      *metrics.Histogram
 }
 
@@ -225,8 +247,8 @@ func NewCES(cfg CESConfig) (*CES, error) {
 		dataPoints: c.reg.Counter("data_points"), batchesSealed: c.reg.Counter("batches_sealed"),
 		tradesReceived: c.reg.Counter("trades_received"), heartbeatsReceived: c.reg.Counter("heartbeats_received"),
 		tradesForwarded: c.reg.Counter("trades_forwarded"), executions: c.reg.Counter("executions"),
+		execReportsSent: c.reg.Counter("exec_reports_sent"), hbStaleness: c.reg.Histogram("hb_staleness_ns"),
 		obHold: c.reg.Histogram("ob_hold_ns"), response: c.reg.Histogram("response_ns"),
-		hbStaleness: c.reg.Histogram("hb_staleness_ns"),
 	}
 	registerSocket(c.reg, ep)
 	cfg.Flight.SetNode(market.NodeCES)
@@ -267,6 +289,7 @@ func (c *CES) Start(mps []MPAddr) error {
 		return fmt.Errorf("node: participant ids %d..%d span more than %d", lo, hi, maxIDSpan)
 	}
 	c.peers, c.peerBase = make([]peer, hi-lo+1), lo
+	epOf := make(map[netip.AddrPort]int, len(mps))
 	for _, mp := range mps {
 		a, err := resolve(mp.Addr)
 		if err != nil {
@@ -274,7 +297,13 @@ func (c *CES) Start(mps []MPAddr) error {
 			return fmt.Errorf("node: MP %d addr %q: %w", mp.ID, mp.Addr, err)
 		}
 		c.addrs = append(c.addrs, a)
-		c.peers[int(mp.ID)-lo] = peer{addr: a, lastHB: -1}
+		ep, seen := epOf[a]
+		if !seen {
+			ep = len(c.eps)
+			epOf[a] = ep
+			c.eps = append(c.eps, a)
+		}
+		c.peers[int(mp.ID)-lo] = peer{addr: a, ep: ep, lastHB: -1}
 	}
 	if c.cfg.Adaptive != nil {
 		c.policy = core.NewAdaptiveThreshold(*c.cfg.Adaptive, sim.FromDuration(c.cfg.StragglerRTT))
@@ -386,7 +415,9 @@ func (c *CES) scheduleProbes() {
 // Metrics exposes the node's operational registry: counters
 // (data_points, batches_sealed, trades_received, heartbeats_received,
 // retx_requests, retx_rejected, trades_forwarded, executions,
-// straggler_transitions, probes_sent, probe_rtt_invalid), live gauges
+// exec_reports_sent — execution-report datagrams written, one per fill
+// per distinct endpoint — straggler_transitions, probes_sent,
+// probe_rtt_invalid), live gauges
 // (ob_queued, stragglers, batches_delivered_min, adaptive_threshold_ns
 // when Adaptive is on, per-MP wm_lag_points_mp_<id> and
 // straggler_mp_<id>; socket_rcvbuf_bytes — the receive buffer the kernel
@@ -471,12 +502,10 @@ func (c *CES) tick(i int) {
 		return
 	}
 	now := c.loop.Now()
-	nextGen := sim.Time(-1)
-	if i+1 < c.cfg.Ticks {
-		nextGen = now + sim.FromDuration(c.cfg.TickInterval)
-	}
-	id, batch, last := c.batch.Next(now, nextGen)
-	if i+1 >= c.cfg.Ticks {
+	final := i+1 >= c.cfg.Ticks
+	c.nextTick = tickDeadline(c.nextTick, now, sim.FromDuration(c.cfg.TickInterval), final)
+	id, batch, last := c.batch.Next(now, c.nextTick)
+	if final {
 		last = true
 	}
 	q := c.quotes.Next()
@@ -508,9 +537,28 @@ func (c *CES) tick(i int) {
 	for _, a := range c.addrs {
 		c.ep.Write(c.buf, a) //nolint:errcheck // UDP loss is part of the model
 	}
-	if i+1 < c.cfg.Ticks {
-		c.loop.Schedule(now+sim.FromDuration(c.cfg.TickInterval), (*cesTicker)(c), i+1)
+	if !final {
+		c.loop.Schedule(c.nextTick, (*cesTicker)(c), i+1)
 	}
+}
+
+// tickDeadline is the market-data schedule: given the deadline the tick
+// that just ran was armed for (due) and the time it actually ran (now),
+// it returns the next tick's deadline, or -1 after the final tick. The
+// schedule advances by whole intervals from its own deadlines, not from
+// fire times, so a timer that fires late delays one tick and not every
+// tick after it: the feed holds its configured rate. A tick a whole
+// interval late or more has missed periods; those are dropped and the
+// schedule restarts from now, rather than sent as a burst the release
+// buffers would have to pace out again.
+func tickDeadline(due, now, interval sim.Time, final bool) sim.Time {
+	if final {
+		return -1
+	}
+	if next := due + interval; next > now {
+		return next
+	}
+	return now + interval
 }
 
 // cesTicker is the CES as the sim.Handler of its market-data timer; the
@@ -630,16 +678,22 @@ func (c *CES) onForward(t *market.Trade) {
 	c.cfg.Auditor.OnForward(t, c.loop.Now())
 	// Execution reports go back to both counterparties (the market data
 	// stream is the public side; these are the private fills): one
-	// encoding, written to each.
+	// encoding, written once to each distinct endpoint among the maker's
+	// and the taker's. The report names both owners, so two ids behind one
+	// address (a gateway, a self-cross) are served by one datagram; an
+	// owner the CES does not know has no endpoint and suppresses nothing.
 	for _, e := range execs {
 		c.buf = wire.AppendExec(c.buf[:0], wire.Exec{
 			Maker: uint64(e.Maker), Taker: uint64(e.Taker),
 			MakerOwner: e.MakerOwner, TakerOwner: e.TakerOwner,
 			Price: e.Price, Qty: e.Qty, Seq: e.Seq,
 		})
-		c.reportTo(e.MakerOwner)
-		if e.TakerOwner != e.MakerOwner {
-			c.reportTo(e.TakerOwner)
+		maker, taker := c.endpointOf(e.MakerOwner), c.endpointOf(e.TakerOwner)
+		if maker >= 0 {
+			c.report(maker)
+		}
+		if taker >= 0 && taker != maker {
+			c.report(taker)
 		}
 	}
 	if c.cfg.OnForward != nil {
@@ -647,11 +701,19 @@ func (c *CES) onForward(t *market.Trade) {
 	}
 }
 
-// reportTo writes the execution report in c.buf to one of its owners.
-func (c *CES) reportTo(owner int32) {
+// endpointOf returns the index in c.eps of an exec owner's address, -1
+// for an owner the CES was not started with.
+func (c *CES) endpointOf(owner int32) int {
 	if p := c.peerOf(market.ParticipantID(owner)); p != nil {
-		c.ep.Write(c.buf, p.addr) //nolint:errcheck
+		return p.ep
 	}
+	return -1
+}
+
+// report writes the execution report in c.buf to one endpoint.
+func (c *CES) report(ep int) {
+	c.ep.Write(c.buf, c.eps[ep]) //nolint:errcheck // UDP loss is part of the model
+	c.m.execReportsSent.Inc()
 }
 
 // Forwarded snapshots the trades forwarded to the ME so far, in order.
@@ -702,7 +764,10 @@ type MPConfig struct {
 	Tau      time.Duration
 	Strategy Strategy
 
-	// OnDeliver, if set, observes batch deliveries (loop goroutine).
+	// OnDeliver, if set, observes batch deliveries (loop goroutine). The
+	// batch and its Points are borrowed for the call: the release buffer
+	// recycles both for a later batch as soon as the delivery returns, so
+	// an observer copies what it keeps.
 	OnDeliver func(b *market.Batch)
 	// OnExec, if set, observes this participant's fills (loop goroutine).
 	OnExec func(e wire.Exec)
@@ -827,6 +892,9 @@ func StartMP(cfg MPConfig) (*MP, error) {
 		Flight:  cfg.Flight,
 
 		SendHeartbeat: m.sendHeartbeat,
+		// onBatch copies each point it answers into m.pending and keeps
+		// nothing of the batch; OnDeliver and the Auditor are held to the same.
+		RecycleBatches: true,
 	})
 	go m.loop.Run()
 	go m.ep.ServeMsg(cross(m.inbox)) //nolint:errcheck // returns nil on Close

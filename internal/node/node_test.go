@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -418,5 +420,90 @@ func TestMetricsRegistryAndHTTPScrape(t *testing.T) {
 	}
 	if snap["stragglers"] != 0 {
 		t.Errorf("stragglers = %d", snap["stragglers"])
+	}
+}
+
+// TestLiveClusterAllocBudget holds the whole live loop — CES tick and
+// fan-out, two real MPs (one on the framed-TCP reverse path), release
+// buffer pacing, response timers, probes, heartbeats, ordering buffer,
+// matching engine, execution reports — to one and a half heap objects
+// per forwarded trade. As on the ingest path, what is left is the trade
+// the OB and Forwarded() retain.
+func TestLiveClusterAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live cluster test needs real time")
+	}
+	// dbo-load's live_cluster: every point is answered by both MPs, one
+	// at once and one after slow, and the two cross.
+	const tick, delta, tau, slow = 2 * time.Millisecond, 4 * time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond
+	const warm, measured = 200, 1000
+	var forwarded atomic.Int64
+	ces, err := NewCES(CESConfig{
+		Listen: "127.0.0.1:0", TickInterval: tick, Ticks: 1 << 30,
+		Delta: delta, Kappa: 0.25, Tau: tau, ProbeInterval: 10 * time.Millisecond,
+		OnForward: func(*market.Trade) { forwarded.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []MPAddr
+	for id := market.ParticipantID(1); id <= 2; id++ {
+		cfg := MPConfig{
+			ID: id, Listen: "127.0.0.1:0", CES: ces.Addr().String(), Delta: delta, Tau: tau,
+			Strategy: func(dp market.DataPoint) (bool, time.Duration, market.Side, int64, int64) {
+				if (int(id)+int(dp.ID))%2 == 0 {
+					return true, 0, market.Buy, 100, 1
+				}
+				return true, slow, market.Sell, 100, 1
+			},
+		}
+		if id == 2 {
+			cfg.CESTCP = ces.TCPAddr().String()
+		}
+		mp, err := StartMP(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(mp.Stop)
+		addrs = append(addrs, MPAddr{ID: id, Addr: mp.Addr().String()})
+	}
+	if err := ces.Start(addrs); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ces.Stop)
+	waitFor := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(20 * time.Second); forwarded.Load() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("forwarded %d of %d trades", forwarded.Load(), n)
+			}
+		}
+	}
+	waitFor(warm) // slices, free lists and the book reach their working size
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	from := forwarded.Load()
+	waitFor(from + measured)
+	trades := float64(forwarded.Load() - from)
+	runtime.ReadMemStats(&after)
+
+	const budget = 1.5
+	perTrade := float64(after.Mallocs-before.Mallocs) / trades
+	m := ces.Metrics().Snapshot()
+	t.Logf("%.2f objects per forwarded trade over %.0f trades, %.2f fills per trade, %.2f exec datagrams per fill, %d datagrams dropped at the socket",
+		perTrade, trades, float64(m["executions"])/float64(m["trades_forwarded"]),
+		float64(m["exec_reports_sent"])/float64(max(m["executions"], 1)), m["udp_rx_dropped"])
+	if perTrade > budget {
+		t.Fatalf(`%.2f heap objects per forwarded trade, budget %.1f. Beyond the ingest path's sites (TestLiveIngestAllocBudget), profile with
+  go test ./internal/node -run TestLiveClusterAllocBudget -memprofile mem.prof -memprofilerate 1
+  go tool pprof -sample_index=alloc_objects -top mem.prof
+and look for:
+  core.(*ReleaseBuffer).newBatch / OnData  a Batch and its Points per batch (the MP's RB recycles both: RecycleBatches)
+  core.(*ReleaseBuffer).tryRelease         a closure per paced release (the RB schedules the func it bound once)
+  node.(*MP).onBatch / respond             a closure or a trade per response (slab slot + Loop.Schedule, one reused Trade)
+  transport.(*TCPClient).Write             a frame header per message (prefixed in place)
+Expected to remain: node.(*CES).onMessage (the trade, 1.00).`,
+			perTrade, budget)
 	}
 }
