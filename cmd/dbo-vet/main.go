@@ -1,129 +1,69 @@
 // Command dbo-vet runs the repository's custom analyzer suite
 // (internal/analysis) over the module and reports every violation of
 // DBO's determinism, lock-discipline, clock-ordering, pool-ownership
-// and zero-allocation invariants, exiting 1 when there are findings
-// and 2 when the tree cannot be loaded.
+// and zero-allocation invariants. It exits 1 when there are findings
+// and 2 when the tree cannot be loaded: every package must parse and
+// type-check (stdlib go/types; module imports from source, the rest
+// from the compiler's export data, so it needs the go command and a
+// build cache that holds the standard library), and the first one that
+// does not is named on stderr.
 //
-// By default the module is type-checked (stdlib go/types — no external
-// tooling) and the analyzers run with resolved types and a static call
-// graph: lockheld chases calls made under a lock through the call graph
-// to transitive blocking operations, clockcmp/walltime match by type
-// identity instead of name heuristics, and the type-aware-only rules
-// (atomicmix, errdrop, sendliveness, poolowner, allocfree, lockorder)
-// come alive — the last three on the flow-sensitive CFG/dataflow
-// engine. Packages that fail to compile degrade per-file to the
-// syntactic rules; `-mode=syntactic` forces that everywhere.
-//
-// Rules: walltime, lockheld, clockcmp, goexit, naketime, errdrop,
-// sendliveness, poolowner, atomicmix, allocfree, lockorder —
-// `dbo-vet -describe` describes them; `-rules=a,b` runs a subset. A
-// deliberate exception is annotated in place with
-// `//dbo:vet-ignore <rule> <reason>` (strictly line-scoped); unused or
-// malformed directives are findings themselves. `-baseline=<file>`
-// additionally suppresses the findings frozen in a JSON snapshot
-// (the `-format=json` output) so a new rule can gate incrementally.
+// Rules: walltime, lockheld, clockcmp, naketime, errdrop, poolowner,
+// atomicmix, allocfree, lockorder, detsource — `dbo-vet -describe`
+// describes them; `-rules=a,b` runs a subset. A deliberate exception is
+// annotated in place with `//dbo:vet-ignore <rule> <reason>` (strictly
+// line-scoped); unused or malformed directives are findings themselves,
+// and `grep -rn dbo:vet-ignore` is the inventory.
 //
 // Usage:
 //
 //	go run ./cmd/dbo-vet ./...
 //	go run ./cmd/dbo-vet -format=sarif ./... > dbo-vet.sarif
 //	go run ./cmd/dbo-vet -rules=poolowner,allocfree,lockorder ./internal/core
-//	go run ./cmd/dbo-vet -baseline=vet-baseline.json ./...
-//	go run ./cmd/dbo-vet -mode=syntactic ./internal/core
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"dbo/internal/analysis"
 )
 
-func main() {
-	os.Exit(run())
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// options carries every flag, so validation is unit-testable apart from
-// flag.Parse and os.Exit.
-type options struct {
-	describe bool
-	ignores  bool
-	cache    bool
-	rules    string
-	baseline string
-	format   string
-	mode     string
-	depth    int
-	workers  int
-}
-
-// validateFlags rejects flag combinations the analyzers would silently
-// misbehave under. Returns "" when the options are usable.
-func validateFlags(o options) string {
-	if o.workers <= 0 {
-		return fmt.Sprintf("-workers must be positive (got %d)", o.workers)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dbo-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	describe := fs.Bool("describe", false, "describe the analyzer rules and exit")
+	rules := fs.String("rules", "", "comma-separated rule subset to run (default: all rules)")
+	format := fs.String("format", "text", "output format: text or sarif")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: dbo-vet [-describe] [-rules=a,b] [-format=text|sarif] [packages]\n\npackages default to ./... (the whole module)\n")
+		fs.PrintDefaults()
 	}
-	if o.depth < 0 {
-		return fmt.Sprintf("-depth must be >= 0 (got %d)", o.depth)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if o.mode != "typed" && o.mode != "syntactic" {
-		return fmt.Sprintf("unknown -mode %q (want typed or syntactic)", o.mode)
-	}
-	if o.format != "text" && o.format != "json" && o.format != "sarif" {
-		return fmt.Sprintf("unknown -format %q (want text, json, or sarif)", o.format)
-	}
-	if o.cache && o.mode != "typed" {
-		return "-cache requires -mode=typed (the cache keys type-aware runs)"
-	}
-	return ""
-}
-
-func run() int {
-	var o options
-	flag.BoolVar(&o.describe, "describe", false, "describe the analyzer rules and exit")
-	flag.BoolVar(&o.ignores, "ignores", false, "list every //dbo:vet-ignore directive with rule, reason and age, then exit")
-	flag.BoolVar(&o.cache, "cache", false, "incremental mode: reuse .dbovet-cache/ results keyed by content hashes")
-	flag.StringVar(&o.rules, "rules", "", "comma-separated rule subset to run (default: all rules)")
-	flag.StringVar(&o.baseline, "baseline", "", "JSON baseline file of findings to suppress (see -format=json)")
-	flag.StringVar(&o.format, "format", "text", "output format: text, json, or sarif")
-	flag.StringVar(&o.mode, "mode", "typed", "analysis mode: typed (type-aware + call graph) or syntactic")
-	flag.IntVar(&o.depth, "depth", 0, "lockheld call-graph depth bound (0 = default)")
-	flag.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel package analyses")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dbo-vet [-describe] [-ignores] [-cache] [-rules=a,b] [-baseline=file] [-format=text|json|sarif] [-mode=typed|syntactic] [-depth=N] [packages]\n\npackages default to ./... (the whole module)\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	if msg := validateFlags(o); msg != "" {
-		fmt.Fprintln(os.Stderr, "dbo-vet:", msg)
-		flag.Usage()
+	if *format != "text" && *format != "sarif" {
+		fmt.Fprintf(stderr, "dbo-vet: unknown -format %q (want text or sarif)\n", *format)
 		return 2
 	}
 
-	describe, rules, baseline := &o.describe, &o.rules, &o.baseline
-	format, mode, depth, workers := &o.format, &o.mode, &o.depth, &o.workers
-
 	if *describe {
 		for _, a := range analysis.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		for _, a := range analysis.AllModule() {
-			fmt.Printf("%-12s %s (module-level, type-aware mode only)\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
 
 	cfg := analysis.Default()
-	cfg.LockHeldDepth = *depth
 	if *rules != "" {
 		valid := analysis.RuleNames()
 		for _, r := range strings.Split(*rules, ",") {
@@ -137,7 +77,7 @@ func run() int {
 					known = append(known, name)
 				}
 				sort.Strings(known)
-				fmt.Fprintf(os.Stderr, "dbo-vet: unknown rule %q in -rules (known: %s)\n", r, strings.Join(known, ", "))
+				fmt.Fprintf(stderr, "dbo-vet: unknown rule %q in -rules (known: %s)\n", r, strings.Join(known, ", "))
 				return 2
 			}
 			cfg.EnabledRules = append(cfg.EnabledRules, r)
@@ -146,157 +86,33 @@ func run() int {
 
 	root, err := analysis.ModuleRoot(".")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dbo-vet:", err)
+		fmt.Fprintln(stderr, "dbo-vet:", err)
 		return 2
 	}
-
-	if o.ignores {
-		return listIgnores(root, flag.Args())
+	mod, err := analysis.LoadModule(root)
+	if err != nil {
+		fmt.Fprintln(stderr, "dbo-vet:", err)
+		return 2
 	}
-
-	var diags []analysis.Diagnostic
-	switch *mode {
-	case "typed":
-		var cacheKey string
-		var pkgDigests map[string]string
-		if o.cache {
-			cacheKey, pkgDigests, err = analysis.CacheKey(root, *mode, flag.Args(), cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dbo-vet:", err)
-				return 2
-			}
-			if e := analysis.LoadCacheEntry(root, cacheKey); e != nil {
-				diags = e.FinalDiagnostics(root)
-				break
-			}
-		}
-		mod, err := analysis.LoadModuleTyped(root)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dbo-vet:", err)
-			return 2
-		}
-		if o.cache {
-			var entry *analysis.CacheEntry
-			diags, entry = mod.RunCached(cfg, flag.Args(), *workers, pkgDigests, analysis.LatestCacheEntry(root))
-			entry.Key = cacheKey
-			if err := analysis.StoreCacheEntry(root, entry); err != nil {
-				// A write failure only costs the next run its warm start.
-				fmt.Fprintln(os.Stderr, "dbo-vet: cache write failed:", err)
-			}
-		} else {
-			diags = mod.Run(cfg, flag.Args(), *workers)
-		}
-	case "syntactic":
-		pkgs, err := analysis.LoadModule(root, flag.Args())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dbo-vet:", err)
-			return 2
-		}
-		for _, pkg := range pkgs {
-			diags = append(diags, analysis.RunPackage(pkg, cfg)...)
-		}
-		analysis.SortDiagnostics(diags)
-	}
-
-	if *baseline != "" {
-		entries, err := analysis.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dbo-vet:", err)
-			return 2
-		}
-		var suppressed, stale int
-		diags, suppressed, stale = analysis.ApplyBaseline(diags, entries, root)
-		if suppressed > 0 || stale > 0 {
-			fmt.Fprintf(os.Stderr, "dbo-vet: baseline suppressed %d finding(s); %d stale entr(y/ies) — shrink the baseline as findings are fixed\n", suppressed, stale)
-		}
-	}
+	diags := mod.Run(cfg, fs.Args())
 
 	// Text output is rendered relative to the working directory so the
-	// lines are clickable in an editor; json/sarif are rendered relative
-	// to the module root so CI artifacts are machine-independent.
-	var ferr error
-	switch *format {
-	case "text":
+	// lines are clickable in an editor; sarif is rendered relative to
+	// the module root so CI artifacts are machine-independent.
+	if *format == "sarif" {
+		err = analysis.FormatSARIF(stdout, diags, root)
+	} else {
 		base, _ := os.Getwd()
-		ferr = analysis.FormatText(os.Stdout, diags, base)
-	case "json":
-		ferr = analysis.FormatJSON(os.Stdout, diags, root)
-	case "sarif":
-		ferr = analysis.FormatSARIF(os.Stdout, diags, root)
-	default:
-		fmt.Fprintf(os.Stderr, "dbo-vet: unknown -format %q (want text, json, or sarif)\n", *format)
-		return 2
+		err = analysis.FormatText(stdout, diags, base)
 	}
-	if ferr != nil {
-		fmt.Fprintln(os.Stderr, "dbo-vet:", ferr)
+	if err != nil {
+		fmt.Fprintln(stderr, "dbo-vet:", err)
 		return 2
 	}
 
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "dbo-vet: %d finding(s)\n", len(diags))
+		fmt.Fprintf(stderr, "dbo-vet: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// listIgnores is the -ignores audit mode: every //dbo:vet-ignore in the
-// selected packages with its rule, age (from git blame, "?" when
-// unavailable) and reason. Exit 0 regardless — the mode is an
-// inventory, not a gate.
-func listIgnores(root string, patterns []string) int {
-	pkgs, err := analysis.LoadModule(root, patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dbo-vet:", err)
-		return 2
-	}
-	entries := analysis.ListIgnores(pkgs)
-	if len(entries) == 0 {
-		fmt.Println("no //dbo:vet-ignore directives")
-		return 0
-	}
-	base, _ := os.Getwd()
-	for _, e := range entries {
-		file := e.Pos.Filename
-		if base != "" {
-			if rel, err := filepath.Rel(base, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = rel
-			}
-		}
-		rule := e.Rule
-		if e.Bad != "" {
-			rule = "MALFORMED"
-		}
-		reason := e.Reason
-		if e.Bad != "" {
-			reason = e.Bad
-		}
-		fmt.Printf("%s:%d: %-12s %-10s %s\n", file, e.Pos.Line, rule, ignoreAge(root, e.Pos.Filename, e.Pos.Line), reason)
-	}
-	fmt.Fprintf(os.Stderr, "dbo-vet: %d ignore directive(s)\n", len(entries))
-	return 0
-}
-
-// ignoreAge asks git when the directive's line last changed ("2025-11-03"),
-// returning "?" outside a repo or when git is missing.
-func ignoreAge(root, file string, line int) string {
-	rel, err := filepath.Rel(root, file)
-	if err != nil {
-		return "?"
-	}
-	cmd := exec.Command("git", "blame", "-L", fmt.Sprintf("%d,%d", line, line), "--porcelain", "--", rel)
-	cmd.Dir = root
-	out, err := cmd.Output()
-	if err != nil {
-		return "?"
-	}
-	for _, l := range strings.Split(string(out), "\n") {
-		if ts, ok := strings.CutPrefix(l, "committer-time "); ok {
-			sec, err := strconv.ParseInt(strings.TrimSpace(ts), 10, 64)
-			if err != nil {
-				return "?"
-			}
-			return time.Unix(sec, 0).UTC().Format("2006-01-02")
-		}
-	}
-	return "?"
 }

@@ -1,30 +1,31 @@
 // Package analysis is dbo-vet's stdlib-only static-analysis framework:
-// a tiny analyzer API over go/parser + go/ast + go/token, a module
-// loader, and the //dbo:vet-ignore escape hatch.
+// a module loader over go/parser + go/types (module imports from source,
+// everything else from the compiler's export data; no x/tools), a static
+// call graph, a CFG + forward-dataflow engine, and the //dbo:vet-ignore
+// escape hatch.
 //
 // DBO's correctness leans on invariants the Go compiler cannot check:
 //
+//   - the sim/check pipeline never reads the wall clock, so seeded
+//     replays stay deterministic (rule walltime), and nothing reachable
+//     from it iterates a map, races a select or draws from the global
+//     random source (rule detsource);
 //   - delivery-clock tuples (§4.1.1) are ordered only through the
 //     canonical comparator in internal/market (rule clockcmp);
-//   - the sim/check pipeline never reads the wall clock, so seeded
-//     replays stay deterministic (rule walltime);
-//   - no mutex is held across a blocking operation or a user callback —
-//     the metrics.Registry.Snapshot deadlock shape fixed in PR 1
-//     (rule lockheld);
-//   - goroutines in the core packages are tied to a lifecycle
-//     (rule goexit);
+//   - no mutex is held across a blocking operation or a user callback,
+//     directly or through the call graph — the metrics.Registry.Snapshot
+//     deadlock shape fixed in PR 1 (rule lockheld) — and no two mutexes
+//     are taken in opposite orders (rule lockorder);
 //   - time quantities are typed sim.Time / time.Duration, never raw
-//     int64 (rule naketime).
+//     int64 (rule naketime);
+//   - hot-path packages never drop an error result (rule errdrop) and
+//     never mix atomic and plain access to one word (rule atomicmix);
+//   - a pooled object has one owner between Get and Put (rule
+//     poolowner), and the pinned hot-path roots reach no allocation site
+//     (rule allocfree).
 //
-// The framework has two modes. In *type-aware* mode (the default for
-// cmd/dbo-vet) a stdlib go/types loader (typecheck.go) type-checks
-// every package in the module, builds a static call graph
-// (callgraph.go), and hands both to the analyzers: lockheld becomes
-// interprocedural, clockcmp/walltime match by type identity instead of
-// name heuristics, and the atomicmix/errdrop/sendliveness rules run.
-// Sources that do not compile degrade per package to *syntactic* mode
-// — pure go/parser + go/ast, runnable on partial or even fuzz-mangled
-// input (FuzzVetParse feeds both modes arbitrary bytes). A deliberate
+// There is one mode: every package of the module type-checks, or the
+// load fails and names the package and its first error. A deliberate
 // false positive is silenced in place with
 //
 //	//dbo:vet-ignore <rule> <reason>
@@ -58,46 +59,23 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Msg)
 }
 
-// Pass carries one parsed package through every analyzer. The type
-// fields are nil in syntactic mode; analyzers must treat them as
-// optional precision, never as a requirement.
+// Pass carries one type-checked package through every analyzer.
 type Pass struct {
 	Fset    *token.FileSet
 	PkgPath string // module-relative dir path, "/"-separated ("internal/core")
 	Files   []*ast.File
-	Src     map[string][]byte // filename → source bytes
 	Cfg     *Config
-
-	TypesPkg *types.Package     // nil when the package did not type-check
-	Info     *types.Info        // shared module type info (nil in syntactic mode)
-	Typed    map[*ast.File]bool // files whose nodes appear in Info
-	Graph    *CallGraph         // module call graph (nil without module context)
+	Info    *types.Info // the module's type information
+	Graph   *CallGraph  // the module's call graph
 
 	diags *[]Diagnostic
 }
 
-// FileTyped reports whether f's nodes carry type information.
-func (p *Pass) FileTyped(f *ast.File) bool {
-	return p.Info != nil && p.Typed != nil && p.Typed[f]
-}
+// TypeOf returns the type of e.
+func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
-// TypeOf returns the type of e, or nil in syntactic mode / for nodes
-// outside the type-checked file set.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if p.Info == nil {
-		return nil
-	}
-	return p.Info.TypeOf(e)
-}
-
-// UseOf resolves an identifier to the object it refers to (nil in
-// syntactic mode or when unresolved).
-func (p *Pass) UseOf(id *ast.Ident) types.Object {
-	if p.Info == nil || id == nil {
-		return nil
-	}
-	return p.Info.Uses[id]
-}
+// UseOf resolves an identifier to the object it refers to.
+func (p *Pass) UseOf(id *ast.Ident) types.Object { return p.Info.Uses[id] }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, rule, format string, args ...any) {
@@ -108,11 +86,6 @@ func (p *Pass) Reportf(pos token.Pos, rule, format string, args ...any) {
 	})
 }
 
-// fileName returns the name of the file holding pos.
-func (p *Pass) fileName(f *ast.File) string {
-	return p.Fset.Position(f.Package).Filename
-}
-
 // Analyzer is one named rule.
 type Analyzer struct {
 	Name string
@@ -120,9 +93,8 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// ModulePass carries the whole type-checked module through a
-// module-level analyzer. Findings are reported only into the selected
-// packages.
+// ModulePass carries the whole module through a module-level analyzer.
+// Findings are reported only into the selected packages.
 type ModulePass struct {
 	Mod      *Module
 	Cfg      *Config
@@ -146,7 +118,7 @@ func (p *ModulePass) Reportf(pkgRel string, pos token.Pos, rule, format string, 
 
 // ModuleAnalyzer is a rule that needs the whole module at once (e.g.
 // atomicmix, whose "accessed atomically anywhere" predicate spans
-// packages). Module analyzers only run in type-aware mode.
+// packages).
 type ModuleAnalyzer struct {
 	Name string
 	Doc  string
@@ -155,12 +127,12 @@ type ModuleAnalyzer struct {
 
 // All returns every per-package analyzer, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{WallTime, LockHeld, ClockCmp, GoExit, NakeTime, ErrDrop, SendLiveness, PoolOwner}
+	return []*Analyzer{WallTime, LockHeld, ClockCmp, NakeTime, ErrDrop, PoolOwner}
 }
 
 // AllModule returns every module-level analyzer.
 func AllModule() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{AtomicMix, AllocFree, LockOrder, ChanLeak, CloseLiveness, DetSource}
+	return []*ModuleAnalyzer{AtomicMix, AllocFree, LockOrder, DetSource}
 }
 
 // RuleNames returns the set of valid rule names (used to validate
@@ -176,28 +148,47 @@ func RuleNames() map[string]bool {
 	return m
 }
 
-// RunPackage runs every analyzer over one loaded package, applies the
-// ignore-directive filter, and returns the surviving diagnostics sorted
-// by position then rule.
-func RunPackage(pkg *Package, cfg *Config) []Diagnostic {
+// Run analyzes every package selected by patterns (default "./..."),
+// runs the module-level analyzers, applies the ignore filter, and
+// returns the findings sorted by position then rule.
+func (m *Module) Run(cfg *Config, patterns []string) []Diagnostic {
 	if cfg == nil {
 		cfg = Default()
 	}
-	diags := append([]Diagnostic(nil), pkg.ParseErrors...)
-	pass := &Pass{
-		Fset:    pkg.Fset,
-		PkgPath: pkg.Path,
-		Files:   pkg.Files,
-		Src:     pkg.Src,
-		Cfg:     cfg,
-		diags:   &diags,
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	for _, a := range All() {
+	var diags []Diagnostic
+	var dirs []*directive
+	selected := make(map[string]bool)
+	for _, pkg := range m.Pkgs {
+		if !matchesAny(pkg.Path, patterns) {
+			continue
+		}
+		selected[pkg.Path] = true
+		pass := &Pass{
+			Fset:    pkg.Fset,
+			PkgPath: pkg.Path,
+			Files:   pkg.Files,
+			Cfg:     cfg,
+			Info:    m.Info,
+			Graph:   m.Graph,
+			diags:   &diags,
+		}
+		for _, a := range All() {
+			if cfg.ruleEnabled(a.Name) {
+				a.Run(pass)
+			}
+		}
+		dirs = append(dirs, collectDirectives(pkg)...)
+	}
+	mp := &ModulePass{Mod: m, Cfg: cfg, Selected: selected, diags: &diags}
+	for _, a := range AllModule() {
 		if cfg.ruleEnabled(a.Name) {
-			a.Run(pass)
+			a.Run(mp)
 		}
 	}
-	diags = applyDirectives(cfg, collectDirectives(pkg), diags)
+	diags = applyDirectives(cfg, dirs, diags)
 	SortDiagnostics(diags)
 	return diags
 }
@@ -258,29 +249,3 @@ func exprString(e ast.Expr) string {
 	}
 	return "…"
 }
-
-// importNames returns the local names under which file f imports path
-// ("time" → {"time"} or an alias). Dot and blank imports yield nothing.
-func importNames(f *ast.File, path string) map[string]bool {
-	names := make(map[string]bool)
-	for _, imp := range f.Imports {
-		if imp == nil || imp.Path == nil || imp.Path.Value != `"`+path+`"` {
-			continue
-		}
-		name := path
-		if i := strings.LastIndex(path, "/"); i >= 0 {
-			name = path[i+1:]
-		}
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == "_" || name == "." {
-			continue
-		}
-		names[name] = true
-	}
-	return names
-}
-
-// isTestFile reports whether the file is a _test.go file.
-func isTestFile(name string) bool { return strings.HasSuffix(name, "_test.go") }

@@ -15,9 +15,9 @@ import (
 // metrics registry such a race silently corrupts the very numbers the
 // evaluation reports. The safe shapes are: every access atomic, or the
 // field typed atomic.Int64/atomic.Bool/… so the compiler enforces it —
-// which is why the rule is module-level and type-aware only: it keys on
-// the *object* identity of the variable, so a field accessed atomically
-// in internal/core and plainly in internal/metrics is still caught.
+// which is why the rule is module-level: it keys on the *object*
+// identity of the variable, so a field accessed atomically in
+// internal/core and plainly in internal/metrics is still caught.
 var AtomicMix = &ModuleAnalyzer{
 	Name: "atomicmix",
 	Doc:  "variable accessed via sync/atomic in one place and plainly in another",
@@ -44,7 +44,7 @@ func runAtomicMix(mp *ModulePass) {
 	// them.
 	atomicAt := make(map[types.Object]token.Pos) // object → first atomic site
 	inAtomic := make(map[*ast.Ident]bool)        // identifiers used *as* the atomic operand
-	forEachTypedFile(m, func(pkg *Package, f *ast.File) {
+	forEachFile(m, func(pkg *Package, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) == 0 {
@@ -79,7 +79,7 @@ func runAtomicMix(mp *ModulePass) {
 	}
 
 	// Pass 2: any other mention of those objects is a plain access.
-	forEachTypedFile(m, func(pkg *Package, f *ast.File) {
+	forEachFile(m, func(pkg *Package, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok || inAtomic[id] {
@@ -131,14 +131,11 @@ func baseIdent(e ast.Expr) *ast.Ident {
 	return nil
 }
 
-// forEachTypedFile visits every type-checked (non-test, compiling) file
-// of the module in deterministic package order.
-func forEachTypedFile(m *Module, fn func(*Package, *ast.File)) {
-	for _, pkg := range m.sortedTypedPackages() {
+// forEachFile visits every file of the module in package order.
+func forEachFile(m *Module, fn func(*Package, *ast.File)) {
+	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
-			if m.files[f] {
-				fn(pkg, f)
-			}
+			fn(pkg, f)
 		}
 	}
 }

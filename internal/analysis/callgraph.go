@@ -12,8 +12,7 @@ import (
 // and methods. Direct calls resolve through types.Info; a call through
 // an interface method fans out to every module method that implements
 // the interface (method-set dispatch). Calls through func values and
-// into packages outside the module have no edges — the lockheld rule
-// keeps its syntactic heuristics for those.
+// into packages outside the module have no edges.
 //
 // Each node also records the function's *direct* blocking operations
 // (channel send/receive, blocking select, range over a channel,
@@ -160,14 +159,11 @@ func FuncDisplay(fn *types.Func) string {
 	return fn.Name()
 }
 
-// buildCallGraph walks every type-checked file once.
+// buildCallGraph walks every file once.
 func buildCallGraph(m *Module) *CallGraph {
 	g := &CallGraph{nodes: make(map[*types.Func]*FuncNode)}
-	for _, pkg := range m.sortedTypedPackages() {
+	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
-			if !m.files[f] {
-				continue
-			}
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil || fd.Name == nil {

@@ -17,17 +17,15 @@ import (
 // Compare/Less/AtLeast) and internal/clock may touch the fields
 // directly.
 //
-// In type-aware mode the rule matches by type identity — the operand
-// must actually select a field of market.DeliveryClock — which retires
-// the name-hint heuristic's false-positive class, and it distinguishes
-// the two comparison shapes: ordering one clock's field against
-// *another clock's* field (hand-rolled lexicographic order — always
-// flagged), versus comparing a clock's Point against a plain PointID
-// watermark (the Appendix E egress gate — legitimate, since point ids
-// are globally ordered on their own; previously this needed a
-// vet-ignore). A lone Elapsed comparison is always flagged: elapsed
-// intervals from different participants are incomparable until their
-// Points tie. Files without type info keep the old name heuristics.
+// The rule matches by type identity — the operand must actually select
+// a field of market.DeliveryClock — and it distinguishes the two
+// comparison shapes: ordering one clock's field against *another
+// clock's* field (hand-rolled lexicographic order — always flagged),
+// versus comparing a clock's Point against a plain PointID watermark
+// (the Appendix E egress gate — legitimate, since point ids are globally
+// ordered on their own). A lone Elapsed comparison is always flagged:
+// elapsed intervals from different participants are incomparable until
+// their Points tie.
 var ClockCmp = &Analyzer{
 	Name: "clockcmp",
 	Doc:  "ad-hoc </> comparisons on DeliveryClock fields outside the canonical comparator",
@@ -37,51 +35,23 @@ var ClockCmp = &Analyzer{
 // clockFields are DeliveryClock's components.
 var clockFields = map[string]bool{"Point": true, "Elapsed": true}
 
-// Receiver-chain name hints that an expression is a delivery clock.
-// Short hints must match a chain segment exactly; long hints match as
-// substrings ("lastClock", "minWatermark").
-var (
-	clockHintExact  = map[string]bool{"dc": true, "wm": true, "tag": true}
-	clockHintSubstr = []string{"clock", "watermark", "deliv"}
-)
-
 func runClockCmp(p *Pass) {
 	if underAny(p.PkgPath, p.Cfg.ClockCmpAllow) {
 		return
 	}
 	cmpOps := map[token.Token]bool{token.LSS: true, token.GTR: true, token.LEQ: true, token.GEQ: true}
 	for _, f := range p.Files {
-		typed := p.FileTyped(f)
 		ast.Inspect(f, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok || !cmpOps[be.Op] {
-				return true
-			}
-			if typed {
-				checkClockCmpTyped(p, be)
-				return true
-			}
-			lf, lHint := clockFieldSel(be.X)
-			rf, rHint := clockFieldSel(be.Y)
-			// Fires when either side is hinted as a clock, or when both
-			// sides compare the same tuple field (x.Point < y.Point is
-			// the classic hand-rolled lexicographic order).
-			if lHint || rHint || (lf != "" && lf == rf) {
-				field := lf
-				if field == "" {
-					field = rf
-				}
-				p.Reportf(be.Pos(), "clockcmp",
-					"ad-hoc %s comparison on DeliveryClock field %s: order delivery clocks with the canonical Compare/Less/AtLeast in %s (§4.1.1) — Elapsed values are only comparable when Points tie",
-					be.Op, field, strings.Join(p.Cfg.ClockCmpAllow, "/"))
+			if be, ok := n.(*ast.BinaryExpr); ok && cmpOps[be.Op] {
+				checkClockCmp(p, be)
 			}
 			return true
 		})
 	}
 }
 
-// checkClockCmpTyped applies the type-identity rule to one comparison.
-func checkClockCmpTyped(p *Pass, be *ast.BinaryExpr) {
+// checkClockCmp applies the rule to one comparison.
+func checkClockCmp(p *Pass, be *ast.BinaryExpr) {
 	lf := deliveryClockField(p, be.X)
 	rf := deliveryClockField(p, be.Y)
 	switch {
@@ -101,8 +71,7 @@ func checkClockCmpTyped(p *Pass, be *ast.BinaryExpr) {
 	// is legitimate and deliberately not flagged.
 }
 
-// deliveryClockField reports which DeliveryClock field e selects
-// (type-resolved), or "".
+// deliveryClockField reports which DeliveryClock field e selects, or "".
 func deliveryClockField(p *Pass, e ast.Expr) string {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok || sel.Sel == nil || !clockFields[sel.Sel.Name] {
@@ -123,51 +92,4 @@ func deliveryClockField(p *Pass, e ast.Expr) string {
 		return ""
 	}
 	return sel.Sel.Name
-}
-
-// clockFieldSel reports whether e selects a DeliveryClock field, and
-// whether its receiver chain carries a clock-name hint.
-func clockFieldSel(e ast.Expr) (field string, hinted bool) {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || sel.Sel == nil || !clockFields[sel.Sel.Name] {
-		return "", false
-	}
-	return sel.Sel.Name, chainHasClockHint(sel.X)
-}
-
-func chainHasClockHint(e ast.Expr) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			if x.Sel != nil && nameIsClockHint(x.Sel.Name) {
-				return true
-			}
-			e = x.X
-		case *ast.Ident:
-			return nameIsClockHint(x.Name)
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.CallExpr:
-			e = x.Fun
-		default:
-			return false
-		}
-	}
-}
-
-func nameIsClockHint(name string) bool {
-	lower := strings.ToLower(name)
-	if clockHintExact[lower] {
-		return true
-	}
-	for _, h := range clockHintSubstr {
-		if strings.Contains(lower, h) {
-			return true
-		}
-	}
-	return false
 }

@@ -18,21 +18,9 @@ type Config struct {
 	// Compare/Less/AtLeast.
 	ClockCmpAllow []string
 
-	// GoExitScope lists the packages where a raw `go` statement must be
-	// tied to a visible lifecycle (WaitGroup, context, or done channel
-	// referenced in the same function).
-	GoExitScope []string
-
 	// ErrDropScope lists the packages whose Submit/Deliver/Release hot
-	// paths may never silently discard an error result (rule errdrop,
-	// type-aware mode only).
+	// paths may never silently discard an error result (rule errdrop).
 	ErrDropScope []string
-
-	// LockHeldDepth bounds the interprocedural lockheld search: a call
-	// made under a lock is chased through at most this many call-graph
-	// edges looking for a transitive blocking operation. 0 uses
-	// DefaultLockHeldDepth.
-	LockHeldDepth int
 
 	// PoolAPIs lists the pooled-object APIs whose single-owner contract
 	// the poolowner rule enforces: objects handed out by Type.Get are
@@ -74,9 +62,9 @@ type Config struct {
 	DetScope []string
 
 	// EnabledRules selects which rules run (nil or empty = all). The
-	// driver's -rules flag and CI's incremental gating set this; the
-	// bad-ignore/unused-ignore directive pseudo-rules always run, except
-	// that a directive naming a disabled rule is never reported unused.
+	// driver's -rules flag sets this; the bad-ignore/unused-ignore
+	// directive pseudo-rules always run, except that a directive naming
+	// a disabled rule is never reported unused.
 	EnabledRules []string
 }
 
@@ -110,19 +98,6 @@ func (c *Config) ruleEnabled(name string) bool {
 	return false
 }
 
-// DefaultLockHeldDepth is the call-graph bound used when
-// Config.LockHeldDepth is zero. Deep enough for the repo's layering
-// (exported API → helper → emit hook), shallow enough that one
-// diagnostic stays explainable.
-const DefaultLockHeldDepth = 4
-
-func (c *Config) lockHeldDepth() int {
-	if c.LockHeldDepth > 0 {
-		return c.LockHeldDepth
-	}
-	return DefaultLockHeldDepth
-}
-
 // Default is dbo-vet's configuration for this repository.
 func Default() *Config {
 	return &Config{
@@ -136,15 +111,6 @@ func Default() *Config {
 		ClockCmpAllow: []string{
 			"internal/market", // DeliveryClock.Compare/Less/AtLeast
 			"internal/clock",  // the per-participant tracker
-		},
-		GoExitScope: []string{
-			"internal/audit", // the live auditor runs unattended: a leaked goroutine is a slow leak on a 24/5 node
-			"internal/core",
-			"internal/exchange",
-			"internal/gateway",
-			"internal/flight",
-			"internal/market", // trade pool: a leaked goroutine would race the free list
-			"internal/wire",   // zero-alloc decode paths must stay single-owner
 		},
 		ErrDropScope: []string{
 			"internal/audit", // violation reporting must never silently fail

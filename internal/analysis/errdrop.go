@@ -11,12 +11,10 @@ import (
 // whose error is dropped strands the order (the PR-2 Egress.Submit bug
 // shape), a Release error swallowed in internal/core silently breaks
 // the delivery-clock watermark. The rule fires in ErrDropScope packages
-// only, and only in type-aware mode (deciding "does this call return an
-// error?" needs the resolved signature): a call used as a bare
-// statement — or launched via go/defer — whose result type is error (or
-// a tuple containing error) is flagged, as is assigning an error value
-// to the blank identifier. fmt printers are exempt: their error is
-// famously useless.
+// only: a call used as a bare statement — or launched via go/defer —
+// whose result type is error (or a tuple containing error) is flagged,
+// as is assigning an error value to the blank identifier. fmt printers
+// are exempt: their error is famously useless.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc:  "call result containing an error discarded on a hot path",
@@ -28,9 +26,6 @@ func runErrDrop(p *Pass) {
 		return
 	}
 	for _, f := range p.Files {
-		if !p.FileTyped(f) || isTestFile(p.fileName(f)) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.ExprStmt:

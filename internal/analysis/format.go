@@ -9,12 +9,10 @@ import (
 	"strings"
 )
 
-// Output formatting for dbo-vet. Three formats:
+// Output formatting for dbo-vet. Two formats:
 //
 //	text  — file:line:col: [rule] message (the classic compiler shape,
 //	        matched by the GitHub problem matcher in CI)
-//	json  — a stable array of {file,line,col,rule,message} objects for
-//	        scripting
 //	sarif — SARIF 2.1.0, one run with per-rule metadata, uploadable as
 //	        a CI artifact and ingestible by code-scanning UIs
 //
@@ -31,32 +29,6 @@ func FormatText(w io.Writer, diags []Diagnostic, base string) error {
 		}
 	}
 	return nil
-}
-
-type jsonDiag struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-// FormatJSON writes diagnostics as a JSON array (never null — an empty
-// run encodes as []).
-func FormatJSON(w io.Writer, diags []Diagnostic, base string) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File:    relPath(base, d.Pos.Filename),
-			Line:    d.Pos.Line,
-			Col:     d.Pos.Column,
-			Rule:    d.Rule,
-			Message: d.Msg,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // SARIF 2.1.0 — the minimal valid subset: schema/version, one run with
@@ -122,11 +94,10 @@ type sarifRegion struct {
 }
 
 // driverRules describes every rule id dbo-vet can emit, the analyzer
-// rules plus the loader/directive pseudo-rules, sorted by id so
-// ruleIndex assignment is deterministic.
+// rules plus the directive pseudo-rules, sorted by id so ruleIndex
+// assignment is deterministic.
 func driverRules() []sarifRule {
 	rules := []sarifRule{
-		{ID: "parse", ShortDescription: sarifMessage{Text: "source file does not parse"}},
 		{ID: "bad-ignore", ShortDescription: sarifMessage{Text: "malformed //dbo:vet-ignore directive"}},
 		{ID: "unused-ignore", ShortDescription: sarifMessage{Text: "//dbo:vet-ignore directive suppresses nothing"}},
 	}

@@ -80,7 +80,7 @@ func TestFormatSARIFShape(t *testing.T) {
 			t.Errorf("rule %s missing from driver metadata", a.Name)
 		}
 	}
-	for _, pseudo := range []string{"parse", "bad-ignore", "unused-ignore"} {
+	for _, pseudo := range []string{"bad-ignore", "unused-ignore"} {
 		if _, ok := ruleIDs[pseudo]; !ok {
 			t.Errorf("pseudo-rule %s missing from driver metadata", pseudo)
 		}
@@ -135,29 +135,6 @@ func TestFormatSARIFEmpty(t *testing.T) {
 	}
 	if len(log.Runs) != 1 || log.Runs[0].Results == nil {
 		t.Fatalf("empty run must encode results as [], got %s", buf.String())
-	}
-}
-
-func TestFormatJSON(t *testing.T) {
-	t.Parallel()
-	var buf bytes.Buffer
-	if err := FormatJSON(&buf, sampleDiags(), "/mod"); err != nil {
-		t.Fatal(err)
-	}
-	var out []jsonDiag
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].File != "internal/core/shard.go" || out[0].Rule != "lockheld" || out[0].Line != 42 {
-		t.Fatalf("unexpected json output: %+v", out)
-	}
-
-	buf.Reset()
-	if err := FormatJSON(&buf, nil, ""); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Fatalf("empty diagnostics must encode as [], got %q", buf.String())
 	}
 }
 

@@ -114,48 +114,12 @@ func standaloneComment(src []byte, pos token.Position) bool {
 	return true
 }
 
-// IgnoreEntry is one //dbo:vet-ignore directive as the driver's
-// -ignores audit mode lists them.
-type IgnoreEntry struct {
-	Pos    token.Position
-	Rule   string // "" when malformed
-	Reason string
-	Bad    string // non-empty: why the directive is malformed
-}
-
-// ListIgnores returns every ignore directive in the packages, sorted by
-// file then line — the inventory behind `dbo-vet -ignores`.
-func ListIgnores(pkgs []*Package) []IgnoreEntry {
-	var out []IgnoreEntry
-	for _, p := range pkgs {
-		for _, d := range collectDirectives(p) {
-			out = append(out, IgnoreEntry{Pos: d.pos, Rule: d.rule, Reason: d.reason, Bad: d.bad})
-		}
-	}
-	sortIgnores(out)
-	return out
-}
-
-func sortIgnores(out []IgnoreEntry) {
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if a.Pos.Filename < b.Pos.Filename ||
-				(a.Pos.Filename == b.Pos.Filename && a.Pos.Line <= b.Pos.Line) {
-				break
-			}
-			out[j-1], out[j] = b, a
-		}
-	}
-}
-
-// applyDirectives filters diags through the given directives (from one
-// package or, in type-aware mode, the whole selected module). Matching
-// diagnostics are dropped; malformed directives and directives that
-// suppressed nothing become findings themselves — except that a
-// directive naming a rule the current run disabled (Config.EnabledRules)
-// is never reported unused: when CI gates a rule subset, the other
-// rules' annotations must not turn into noise.
+// applyDirectives filters diags through the selected packages'
+// directives. Matching diagnostics are dropped; malformed directives
+// and directives that suppressed nothing become findings themselves —
+// except that a directive naming a rule the current run disabled
+// (Config.EnabledRules) is never reported unused: when CI gates a rule
+// subset, the other rules' annotations must not turn into noise.
 func applyDirectives(cfg *Config, dirs []*directive, diags []Diagnostic) []Diagnostic {
 	if len(dirs) == 0 {
 		return diags

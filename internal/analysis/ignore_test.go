@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// checkFix analyzes src as the one file of package internal/sim.
+func checkFix(t *testing.T, src string) []Diagnostic {
+	t.Helper()
+	diags, err := CheckSource("fix.go", "internal/sim", []byte(src), Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diags
+}
+
 // Two different rules fire on one line; a directive names one of them.
 // Exactly that diagnostic must disappear — the other survives.
 func TestIgnoreSuppressesExactlyOne(t *testing.T) {
@@ -16,7 +26,7 @@ import "time"
 //dbo:vet-ignore walltime demonstrating single-rule suppression
 func f(timeoutNs int64) { _ = time.Now() }
 `
-	diags := CheckSource("fix.go", "internal/sim", []byte(src), Default())
+	diags := checkFix(t, src)
 	if len(diags) != 1 {
 		t.Fatalf("want exactly the naketime finding to survive, got %v", render(diags))
 	}
@@ -26,7 +36,7 @@ func f(timeoutNs int64) { _ = time.Now() }
 
 	// Without the directive both findings are reported on that line.
 	bare := strings.Replace(src, "//dbo:vet-ignore walltime demonstrating single-rule suppression\n", "", 1)
-	diags = CheckSource("fix.go", "internal/sim", []byte(bare), Default())
+	diags = checkFix(t, bare)
 	if len(diags) != 2 {
 		t.Fatalf("want walltime+naketime without the directive, got %v", render(diags))
 	}
@@ -44,7 +54,7 @@ func f() {
 	_ = time.Now()
 }
 `
-	diags := CheckSource("fix.go", "internal/sim", []byte(src), Default())
+	diags := checkFix(t, src)
 	if len(diags) != 1 || diags[0].Rule != "walltime" || diags[0].Pos.Line != 7 {
 		t.Fatalf("want only the unannotated line-7 finding, got %v", render(diags))
 	}
@@ -59,7 +69,7 @@ func TestUnusedIgnoreReported(t *testing.T) {
 //dbo:vet-ignore walltime nothing here uses the wall clock
 var x = 1
 `
-	diags := CheckSource("fix.go", "internal/sim", []byte(src), Default())
+	diags := checkFix(t, src)
 	if len(diags) != 1 || diags[0].Rule != "unused-ignore" || diags[0].Pos.Line != 3 {
 		t.Fatalf("want one unused-ignore at line 3, got %v", render(diags))
 	}
@@ -75,7 +85,7 @@ func TestMalformedIgnoreReported(t *testing.T) {
 //dbo:vet-ignore
 var x = 1
 `
-	diags := CheckSource("fix.go", "internal/sim", []byte(src), Default())
+	diags := checkFix(t, src)
 	if len(diags) != 3 {
 		t.Fatalf("want 3 bad-ignore findings, got %v", render(diags))
 	}
@@ -102,7 +112,7 @@ func f() {
 	_ = time.Now()
 }
 `
-	diags := CheckSource("fix.go", "internal/sim", []byte(src), Default())
+	diags := checkFix(t, src)
 	if len(diags) != 2 {
 		t.Fatalf("want the line-8 and line-9 findings to survive, got %v", render(diags))
 	}
@@ -134,7 +144,7 @@ func f(timeoutNs int64) {
 	_ = time.Now()
 }
 `
-	diags := CheckSource("fix.go", "internal/sim", []byte(src), Default())
+	diags := checkFix(t, src)
 	// Expected: line-8 walltime suppressed by the first directive; the
 	// second directive names a rule with no finding on line 8, so it is
 	// an unused-ignore; line-9 walltime survives; the naketime finding
@@ -168,7 +178,7 @@ func f(mu *sync.Mutex) {
 	mu.Unlock()
 }
 `
-	diags = CheckSource("fix.go", "internal/sim", []byte(src2), Default())
+	diags = checkFix(t, src2)
 	if len(diags) != 0 {
 		t.Fatalf("want both stacked directives to suppress their rule, got %v", render(diags))
 	}
@@ -189,7 +199,7 @@ func f() {
 	_, _ = a, b
 }
 `
-	diags := CheckSource("fix.go", "internal/sim", []byte(src), Default())
+	diags := checkFix(t, src)
 	if len(diags) != 0 {
 		t.Fatalf("want both same-line findings suppressed, got %v", render(diags))
 	}

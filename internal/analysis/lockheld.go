@@ -18,155 +18,51 @@ import (
 // Within one function body, between x.Lock()/x.RLock() and the matching
 // x.Unlock()/x.RUnlock() (or to the end of the body after a deferred
 // unlock), the rule flags: channel sends, channel receives, select
-// statements, .Wait() calls, time.Sleep, and calls through func-typed
-// values (parameters, locals assigned func literals, and struct fields
-// or collections of funcs declared in the same package) plus On*-named
-// callback invocations.
-//
-// In type-aware mode the rule is additionally *interprocedural*: a call
-// to a statically resolved function (or interface method, through the
-// module's method sets) is flagged when any transitive callee — up to
-// Config.LockHeldDepth call-graph edges — performs a blocking
-// operation, and the diagnostic prints the call chain plus the blocking
-// reason. Type resolution also retires two name heuristics: a selector
-// that resolves to a declared, provably non-blocking function is no
-// longer flagged just for being named On*, and a selector that resolves
-// to a func-typed field or variable is flagged from type identity
-// rather than the package-wide field-name shape table.
+// statements, time.Sleep and the Wait methods of package sync, calls
+// through func-typed variables and fields, and — interprocedurally —
+// calls to a statically resolved function (or interface method, through
+// the module's method sets) when any transitive callee, up to
+// lockHeldDepth call-graph edges, performs a blocking operation. That
+// diagnostic prints the call chain plus the blocking reason.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc:  "mutex held across a (transitively) blocking operation or user callback",
 	Run:  runLockHeld,
 }
 
+// lockHeldDepth bounds the interprocedural search: a call made under a
+// lock is chased through at most this many call-graph edges. Deep
+// enough for the repo's layering (exported API → helper → emit hook),
+// shallow enough that one diagnostic stays explainable.
+const lockHeldDepth = 4
+
 func runLockHeld(p *Pass) {
-	shapes := collectFuncShapes(p)
 	for _, f := range p.Files {
-		typed := p.FileTyped(f)
 		ast.Inspect(f, func(n ast.Node) bool {
+			var body *ast.BlockStmt
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				if fn.Body != nil {
-					newLockScan(p, shapes, fn.Type, typed).scan(fn.Body.List)
-				}
+				body = fn.Body
 			case *ast.FuncLit:
-				if fn.Body != nil {
-					newLockScan(p, shapes, fn.Type, typed).scan(fn.Body.List)
-				}
+				body = fn.Body
+			}
+			if body != nil {
+				s := &lockScan{p: p, held: make(map[string]bool), deferred: make(map[string]bool)}
+				s.scan(body.List)
 			}
 			return true
 		})
 	}
 }
 
-// funcShapes records, package-wide, which struct field names hold func
-// values ("release", "OnForward") and which hold collections of funcs
-// ("fns map[string]func() int64"). Syntactic analysis cannot resolve a
-// receiver's type, so a field name is treated as func-shaped if any
-// struct in the package declares it that way — conservative in the
-// direction of catching the Snapshot bug shape.
-type funcShapes struct {
-	valField map[string]bool // field name → is func-typed
-	collEl   map[string]bool // field name → is slice/map-of-func
-}
-
-func collectFuncShapes(p *Pass) *funcShapes {
-	s := &funcShapes{valField: make(map[string]bool), collEl: make(map[string]bool)}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, fld := range st.Fields.List {
-				if fld == nil {
-					continue
-				}
-				kind := funcTypeKind(fld.Type)
-				for _, name := range fld.Names {
-					if name == nil {
-						continue
-					}
-					switch kind {
-					case funcVal:
-						s.valField[name.Name] = true
-					case funcColl:
-						s.collEl[name.Name] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return s
-}
-
-type typeKind int
-
-const (
-	notFunc  typeKind = iota
-	funcVal           // func(...)
-	funcColl          // []func(...), map[K]func(...)
-)
-
-func funcTypeKind(t ast.Expr) typeKind {
-	switch x := t.(type) {
-	case *ast.FuncType:
-		return funcVal
-	case *ast.ArrayType:
-		if funcTypeKind(x.Elt) == funcVal {
-			return funcColl
-		}
-	case *ast.MapType:
-		if funcTypeKind(x.Value) == funcVal {
-			return funcColl
-		}
-	case *ast.ParenExpr:
-		return funcTypeKind(x.X)
-	}
-	return notFunc
-}
-
-// lockScan walks one function body tracking held locks and func-typed
-// names. It is flow-insensitive across branches (a Lock in an if-arm
-// counts as held afterwards) — conservative, and the repo's critical
-// sections are all straight-line.
+// lockScan walks one function body tracking held locks. It is
+// flow-insensitive across branches (a Lock in an if-arm counts as held
+// afterwards) — conservative, and the repo's critical sections are all
+// straight-line.
 type lockScan struct {
 	p        *Pass
-	shapes   *funcShapes
-	typed    bool            // this file carries type info
 	held     map[string]bool // "r.mu" → explicitly locked
 	deferred map[string]bool // "r.mu" → unlocked only at return
-	funcVals map[string]bool // local/param names that hold funcs
-	funcColl map[string]bool // local names that hold slices/maps of funcs
-}
-
-func newLockScan(p *Pass, shapes *funcShapes, ftype *ast.FuncType, typed bool) *lockScan {
-	s := &lockScan{
-		p: p, shapes: shapes, typed: typed,
-		held: make(map[string]bool), deferred: make(map[string]bool),
-		funcVals: make(map[string]bool), funcColl: make(map[string]bool),
-	}
-	if ftype != nil && ftype.Params != nil {
-		for _, fld := range ftype.Params.List {
-			if fld == nil {
-				continue
-			}
-			kind := funcTypeKind(fld.Type)
-			for _, name := range fld.Names {
-				if name == nil {
-					continue
-				}
-				switch kind {
-				case funcVal:
-					s.funcVals[name.Name] = true
-				case funcColl:
-					s.funcColl[name.Name] = true
-				}
-			}
-		}
-	}
-	return s
 }
 
 func (s *lockScan) anyHeld() bool { return len(s.held)+len(s.deferred) > 0 }
@@ -258,7 +154,6 @@ func (s *lockScan) scanStmt(st ast.Stmt) {
 			s.scan(x.Body.List)
 		}
 	case *ast.AssignStmt:
-		s.trackAssign(x)
 		for _, e := range x.Rhs {
 			s.checkExpr(e)
 		}
@@ -266,7 +161,6 @@ func (s *lockScan) scanStmt(st ast.Stmt) {
 			s.checkExpr(e)
 		}
 	case *ast.DeclStmt:
-		s.trackDecl(x)
 		if gd, ok := x.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
@@ -297,7 +191,6 @@ func (s *lockScan) scanStmt(st ast.Stmt) {
 		}
 		s.scanStmt(x.Post)
 	case *ast.RangeStmt:
-		s.trackRange(x)
 		s.checkExpr(x.X)
 		if x.Body != nil {
 			s.scan(x.Body.List)
@@ -329,124 +222,6 @@ func (s *lockScan) scanCases(body *ast.BlockStmt) {
 	}
 }
 
-// trackAssign records func-typed locals: x := func(){}, x := c.cfg.OnF,
-// fns := make(map[string]func(), n), msgs := l.msgs (field of func-coll
-// shape).
-func (s *lockScan) trackAssign(a *ast.AssignStmt) {
-	if len(a.Lhs) != len(a.Rhs) {
-		return
-	}
-	for i, lhs := range a.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		switch kind := s.rhsKind(a.Rhs[i]); kind {
-		case funcVal:
-			s.funcVals[id.Name] = true
-		case funcColl:
-			s.funcColl[id.Name] = true
-		}
-	}
-}
-
-// rhsKind classifies an assignment RHS as producing a func value, a
-// func collection, or neither.
-func (s *lockScan) rhsKind(e ast.Expr) typeKind {
-	switch x := e.(type) {
-	case *ast.FuncLit:
-		return funcVal
-	case *ast.Ident:
-		if s.funcVals[x.Name] {
-			return funcVal
-		}
-		if s.funcColl[x.Name] {
-			return funcColl
-		}
-	case *ast.SelectorExpr:
-		if x.Sel != nil {
-			if s.shapes.valField[x.Sel.Name] {
-				return funcVal
-			}
-			if s.shapes.collEl[x.Sel.Name] {
-				return funcColl
-			}
-		}
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "make" && len(x.Args) > 0 {
-			return funcTypeKind(x.Args[0])
-		}
-	case *ast.CompositeLit:
-		return funcTypeKind(x.Type)
-	case *ast.IndexExpr:
-		if s.indexedColl(x) {
-			return funcVal
-		}
-	}
-	return notFunc
-}
-
-// indexedColl reports whether e indexes a known func collection.
-func (s *lockScan) indexedColl(e *ast.IndexExpr) bool {
-	switch x := e.X.(type) {
-	case *ast.Ident:
-		return s.funcColl[x.Name]
-	case *ast.SelectorExpr:
-		return x.Sel != nil && s.shapes.collEl[x.Sel.Name]
-	}
-	return false
-}
-
-// trackDecl records func-typed vars from `var fn func()` declarations.
-func (s *lockScan) trackDecl(d *ast.DeclStmt) {
-	gd, ok := d.Decl.(*ast.GenDecl)
-	if !ok || gd.Tok != token.VAR {
-		return
-	}
-	for _, spec := range gd.Specs {
-		vs, ok := spec.(*ast.ValueSpec)
-		if !ok {
-			continue
-		}
-		kind := notFunc
-		if vs.Type != nil {
-			kind = funcTypeKind(vs.Type)
-		} else if len(vs.Values) == 1 {
-			kind = s.rhsKind(vs.Values[0])
-		}
-		for _, name := range vs.Names {
-			if name == nil {
-				continue
-			}
-			switch kind {
-			case funcVal:
-				s.funcVals[name.Name] = true
-			case funcColl:
-				s.funcColl[name.Name] = true
-			}
-		}
-	}
-}
-
-// trackRange records the value variable of `for _, fn := range fns` as
-// a func value when fns is a known func collection.
-func (s *lockScan) trackRange(r *ast.RangeStmt) {
-	val, ok := r.Value.(*ast.Ident)
-	if !ok || val.Name == "_" {
-		return
-	}
-	switch x := r.X.(type) {
-	case *ast.Ident:
-		if s.funcColl[x.Name] {
-			s.funcVals[val.Name] = true
-		}
-	case *ast.SelectorExpr:
-		if x.Sel != nil && s.shapes.collEl[x.Sel.Name] {
-			s.funcVals[val.Name] = true
-		}
-	}
-}
-
 // checkExpr reports blocking work inside an expression evaluated while
 // a lock is held. It does not descend into func literals — their bodies
 // run later, outside this critical section (and are scanned on their
@@ -471,71 +246,29 @@ func (s *lockScan) checkExpr(e ast.Expr) {
 	})
 }
 
+// checkCall resolves the callee of a call made under a lock. A declared
+// function is chased through the call graph; one with no reachable
+// blocking operation (or an external one the graph cannot see into) is
+// fine, whatever it is named. Immediately invoked literals and indexed
+// collections are not resolved.
 func (s *lockScan) checkCall(call *ast.CallExpr) {
-	if s.typed && s.checkCallTyped(call) {
-		return
-	}
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if s.funcVals[fun.Name] {
-			s.p.Reportf(call.Pos(), "lockheld",
-				"call through func value %s while holding %s: a callback may block or re-enter the lock (the Registry.Snapshot deadlock shape) — invoke after Unlock", fun.Name, s.heldNames())
-		}
-	case *ast.SelectorExpr:
-		if fun.Sel == nil {
-			return
-		}
-		name := fun.Sel.Name
-		switch {
-		case name == "Wait":
-			s.p.Reportf(call.Pos(), "lockheld",
-				"%s.Wait() while holding %s: waiting under a lock deadlocks when the waited-for work needs the same lock — Wait after Unlock", exprString(fun.X), s.heldNames())
-		case name == "Sleep" && isPkgIdent(fun.X, "time"):
-			s.p.Reportf(call.Pos(), "lockheld",
-				"time.Sleep while holding %s stalls every other caller of the lock", s.heldNames())
-		case s.shapes.valField[name]:
-			s.p.Reportf(call.Pos(), "lockheld",
-				"call through func-typed field %s while holding %s: a user callback may block or re-enter the lock — invoke after Unlock", exprString(fun), s.heldNames())
-		case isCallbackName(name):
-			s.p.Reportf(call.Pos(), "lockheld",
-				"user-callback invocation %s while holding %s: callbacks must not run under a lock — invoke after Unlock", exprString(fun), s.heldNames())
-		}
-	}
-}
-
-// checkCallTyped resolves the callee through type information. It
-// returns true when resolution succeeded (whether or not it reported),
-// telling the caller the syntactic heuristics are superseded for this
-// call; false falls back to the name-based checks.
-func (s *lockScan) checkCallTyped(call *ast.CallExpr) bool {
 	var obj types.Object
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		obj = s.p.UseOf(f)
 	case *ast.SelectorExpr:
 		obj = s.p.UseOf(f.Sel)
-	default:
-		// Immediately invoked literals, indexed collections, … — the
-		// syntactic machinery already models these.
-		return false
 	}
 	switch o := obj.(type) {
 	case *types.Func:
 		if fact := blockingStdCall(o); fact != "" {
 			s.p.Reportf(call.Pos(), "lockheld",
 				"%s while holding %s: blocking under a lock stalls or deadlocks every other caller — move it after Unlock", fact, s.heldNames())
-			return true
-		}
-		if chain := s.p.Graph.BlockingChain(o, s.p.Cfg.lockHeldDepth()); chain != nil {
+		} else if chain := s.p.Graph.BlockingChain(o, lockHeldDepth); chain != nil {
 			s.p.Reportf(call.Pos(), "lockheld",
 				"call to %s while holding %s: %s — move the call after Unlock or restructure the callee",
 				FuncDisplay(o), s.heldNames(), renderChain(s.p, chain))
-			return true
 		}
-		// Resolved to a declared function with no reachable blocking op
-		// (or an external one we cannot see into): type identity
-		// overrides the On*-name heuristic, so stay silent.
-		return true
 	case *types.Var:
 		if _, isFunc := o.Type().Underlying().(*types.Signature); isFunc {
 			kind := "func value"
@@ -546,11 +279,7 @@ func (s *lockScan) checkCallTyped(call *ast.CallExpr) bool {
 				"call through %s %s while holding %s: a user callback may block or re-enter the lock (the Registry.Snapshot deadlock shape) — invoke after Unlock",
 				kind, exprString(call.Fun), s.heldNames())
 		}
-		return true
-	case *types.Builtin, *types.TypeName:
-		return true // len/cap/conversions never block
 	}
-	return false
 }
 
 // renderChain formats a blocking chain: "its callee chain a → b reaches
@@ -564,14 +293,4 @@ func renderChain(p *Pass, chain []ChainStep) string {
 	pos := p.Fset.Position(last.Fact.Pos)
 	return fmt.Sprintf("its callee chain %s reaches a blocking %s at %s:%d",
 		strings.Join(names, " → "), last.Fact.What, filepath.Base(pos.Filename), pos.Line)
-}
-
-// isCallbackName matches the repo's On<Event> hook convention.
-func isCallbackName(name string) bool {
-	return len(name) > 2 && strings.HasPrefix(name, "On") && name[2] >= 'A' && name[2] <= 'Z'
-}
-
-func isPkgIdent(e ast.Expr, pkg string) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == pkg
 }

@@ -15,17 +15,7 @@ import (
 // rename that silently empties the root set would turn allocfree into
 // a vacuous pass — this test makes that a loud failure instead.
 func TestAllocFreeRootsResolve(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadModuleTyped(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod, _ := loadRepo(t)
 	cfg := Default()
 
 	resolved := make(map[HotPathRoot]int)
@@ -54,11 +44,12 @@ func TestAllocFreeRootsResolve(t *testing.T) {
 		}
 		pkgPath, typeName := api.Type[:dot], api.Type[dot+1:]
 		rel := strings.TrimPrefix(pkgPath, mod.Path+"/")
-		tp := mod.TypedPackage(rel)
-		if tp == nil {
-			t.Errorf("PoolAPI package %s did not type-check", pkgPath)
+		pkg := mod.byRel[rel]
+		if pkg == nil {
+			t.Errorf("PoolAPI package %s is not in the module", pkgPath)
 			continue
 		}
+		tp := pkg.Types
 		obj := tp.Scope().Lookup(typeName)
 		if obj == nil {
 			t.Errorf("PoolAPI type %s not found in %s", typeName, pkgPath)
@@ -73,93 +64,14 @@ func TestAllocFreeRootsResolve(t *testing.T) {
 	}
 
 	for _, scope := range cfg.AllocFreeScope {
-		if fi, err := os.Stat(filepath.Join(root, filepath.FromSlash(scope))); err != nil || !fi.IsDir() {
+		if fi, err := os.Stat(filepath.Join(mod.Root, filepath.FromSlash(scope))); err != nil || !fi.IsDir() {
 			t.Errorf("AllocFreeScope entry %s is not a directory in the module", scope)
 		}
 	}
 }
 
-func writeBaselineFile(t *testing.T, content string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestBaselineLoad(t *testing.T) {
-	t.Parallel()
-	t.Run("roundTrip", func(t *testing.T) {
-		t.Parallel()
-		path := writeBaselineFile(t, `[
-			{"file": "internal/core/a.go", "line": 10, "col": 2, "rule": "allocfree", "message": "make(…) allocates"},
-			{"file": "internal/core/b.go", "rule": "poolowner", "message": "t is used after being put back"}
-		]`)
-		entries, err := LoadBaseline(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != 2 {
-			t.Fatalf("got %d entries, want 2", len(entries))
-		}
-		if entries[0].Line != 10 || entries[0].Rule != "allocfree" {
-			t.Errorf("first entry misparsed: %+v", entries[0])
-		}
-	})
-	t.Run("missingFile", func(t *testing.T) {
-		t.Parallel()
-		if _, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-			t.Error("want error for missing file")
-		}
-	})
-	t.Run("badJSON", func(t *testing.T) {
-		t.Parallel()
-		if _, err := LoadBaseline(writeBaselineFile(t, `{"not": "an array"}`)); err == nil {
-			t.Error("want error for non-array JSON")
-		}
-	})
-	t.Run("missingRequiredFields", func(t *testing.T) {
-		t.Parallel()
-		if _, err := LoadBaseline(writeBaselineFile(t, `[{"file": "a.go", "message": "no rule"}]`)); err == nil {
-			t.Error("want error for entry without rule")
-		}
-	})
-}
-
-func TestBaselineApply(t *testing.T) {
-	t.Parallel()
-	root := string(filepath.Separator) + "repo"
-	diag := func(file string, line int, rule, msg string) Diagnostic {
-		d := Diagnostic{Rule: rule, Msg: msg}
-		d.Pos.Filename = filepath.Join(root, filepath.FromSlash(file))
-		d.Pos.Line = line
-		return d
-	}
-	diags := []Diagnostic{
-		diag("internal/core/a.go", 10, "allocfree", "make allocates"),
-		diag("internal/core/a.go", 55, "allocfree", "make allocates"), // same finding, moved line
-		diag("internal/core/a.go", 20, "poolowner", "t used after Put"),
-	}
-	entries := []BaselineEntry{
-		{File: "internal/core/a.go", Line: 999, Rule: "allocfree", Message: "make allocates"}, // line ignored
-		{File: "internal/core/gone.go", Rule: "lockorder", Message: "old cycle"},              // stale
-		{File: "internal/core/gone.go", Rule: "lockorder", Message: "old cycle"},              // duplicate: still one stale
-	}
-	kept, suppressed, stale := ApplyBaseline(diags, entries, root)
-	if suppressed != 2 {
-		t.Errorf("suppressed = %d, want 2 (matching ignores line/col)", suppressed)
-	}
-	if stale != 1 {
-		t.Errorf("stale = %d, want 1 (duplicate entries count once)", stale)
-	}
-	if len(kept) != 1 || kept[0].Rule != "poolowner" {
-		t.Errorf("kept = %v, want only the poolowner finding", kept)
-	}
-}
-
 // TestEnabledRulesSelector pins -rules semantics end to end through the
-// typed pipeline: a finding from a deselected rule must not surface,
+// pipeline: a finding from a deselected rule must not surface,
 // and reselecting the rule brings it back unchanged.
 func TestEnabledRulesSelector(t *testing.T) {
 	t.Parallel()
@@ -180,7 +92,7 @@ func useAfterPut() {
 	run := func(rules ...string) []Diagnostic {
 		cfg := Default()
 		cfg.EnabledRules = rules
-		return mod.Run(cfg, []string{"./internal/core/sel"}, 1)
+		return mod.Run(cfg, []string{"./internal/core/sel"})
 	}
 
 	if diags := run("poolowner"); len(diags) != 1 || diags[0].Rule != "poolowner" {
@@ -217,7 +129,7 @@ func cleanRoundTrip() {
 	run := func(rules ...string) []Diagnostic {
 		cfg := Default()
 		cfg.EnabledRules = rules
-		return mod.Run(cfg, []string{"./internal/core/ig"}, 1)
+		return mod.Run(cfg, []string{"./internal/core/ig"})
 	}
 
 	diags := run()

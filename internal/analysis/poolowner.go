@@ -13,8 +13,7 @@ import (
 // must not be used again (use-after-Put), must not be Put a second
 // time (double-Put), and must not have been stored anywhere that
 // outlives the release (reference retained past Put). The analysis is
-// intraprocedural and type-aware only; in syntactic mode the rule is
-// silent.
+// intraprocedural.
 //
 // Lattice per tracked local: Owned ⊔ Released = Maybe (released on
 // some path), with an escape bit recording the first place a reference
@@ -144,13 +143,10 @@ func joinInfo(a, b ownInfo) ownInfo {
 }
 
 func runPoolOwner(p *Pass) {
-	if p.Info == nil || len(p.Cfg.PoolAPIs) == 0 {
+	if len(p.Cfg.PoolAPIs) == 0 {
 		return
 	}
 	for _, f := range p.Files {
-		if !p.FileTyped(f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:

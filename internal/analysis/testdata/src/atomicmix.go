@@ -1,6 +1,6 @@
 // Fixture for rule atomicmix, analyzed as package path
-// "internal/core/cx" inside a compiled mini-module (the rule is
-// type-aware only: it keys on variable object identity).
+// "internal/core/cx" inside a compiled mini-module (the rule keys on
+// variable object identity).
 package cx
 
 import "sync/atomic"

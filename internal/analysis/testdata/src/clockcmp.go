@@ -1,33 +1,38 @@
 // Fixture for rule clockcmp, analyzed as package path
-// "internal/exchange" (not a comparator-owning package). The simTime
-// alias keeps naketime quiet — the rule under test is clockcmp.
-package fixture
+// "internal/exchange/cc" in a compiled mini-module that provides
+// dbo/internal/market. The rule matches DeliveryClock by type
+// identity: hand-rolled field orderings are flagged, the Appendix E
+// Point-vs-watermark gate is allowed without a vet-ignore, and
+// structurally similar non-clock types do not fire.
+package cc
 
-type simTime int64
+import "dbo/internal/market"
 
-type deliveryClock struct {
-	Point   uint64
-	Elapsed simTime
+func handRolled(a, b market.DeliveryClock) bool {
+	if a.Point < b.Point { // want "clockcmp.*Point vs Point"
+		return true
+	}
+	return a.Elapsed < b.Elapsed // want "clockcmp.*Elapsed vs Elapsed"
 }
 
-type trade struct{ DC deliveryClock }
-
-func bad(a, b trade, tag deliveryClock, wm deliveryClock) bool {
-	if a.DC.Point < b.DC.Point { // want "clockcmp.*field Point"
-		return true
-	}
-	if a.DC.Elapsed <= b.DC.Elapsed { // want "clockcmp.*field Elapsed"
-		return true
-	}
-	if tag.Point > 5 { // want "clockcmp.*field Point"
-		return true
-	}
-	return wm.Elapsed >= 100 // want "clockcmp.*field Elapsed"
+func elapsedAlone(a market.DeliveryClock, cutoff market.Time) bool {
+	return a.Elapsed > cutoff // want "clockcmp.*Elapsed"
 }
 
-func fine(a trade, n uint64) bool {
-	if a.DC.Point == 3 { // equality is not an ordering
-		return false
-	}
-	return n > 5 // plain integers: none of clockcmp's business
+// The Appendix E egress gate: a clock's Point against a plain PointID
+// watermark. Point ids are globally ordered on their own, so this is
+// legitimate.
+func gate(tag market.DeliveryClock, watermark market.PointID) bool {
+	return tag.Point <= watermark
+}
+
+// A structurally similar non-clock type: same field names, but type
+// identity says it is none of clockcmp's business.
+type scoreboard struct {
+	Point   int
+	Elapsed int
+}
+
+func notAClock(a, b scoreboard) bool {
+	return a.Point < b.Point && a.Elapsed < b.Elapsed
 }

@@ -1,5 +1,5 @@
 // Fixture for rule lockheld, analyzed as package path "internal/rt"
-// (so walltime stays quiet). Need not compile; must parse.
+// (so walltime stays quiet).
 package fixture
 
 import (

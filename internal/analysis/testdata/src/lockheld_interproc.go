@@ -1,9 +1,9 @@
 // Fixture for the interprocedural half of rule lockheld, analyzed as
 // package path "internal/node/lh" in a compiled mini-module. The lock
 // section contains no channel operation of its own — only a call whose
-// *callee* (two hops down) blocks on a channel send. The syntactic rule
-// provably misses this file (asserted by TestInterprocLockHeldBothModes);
-// the call-graph chase catches it.
+// *callee* (two hops down) blocks on a channel send. Only the
+// call-graph chase can see it (TestInterprocLockHeld checks the chain
+// the diagnostic prints).
 package lh
 
 import "sync"

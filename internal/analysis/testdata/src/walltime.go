@@ -1,5 +1,5 @@
 // Fixture for rule walltime, analyzed as package path "internal/sim"
-// (not on the real-time allowlist). Need not compile; must parse.
+// (not on the real-time allowlist).
 package fixture
 
 import (

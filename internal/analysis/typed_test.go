@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -62,55 +64,39 @@ func (p *TradePool) Put(t *Trade) {
 }
 `
 
-// typedFixtures maps each type-aware golden fixture to the module path
-// it is compiled under. Paths are chosen so the rule under test is in
-// scope (errdrop wants ErrDropScope, clockcmp wants a non-allowlisted
-// package, …).
+// typedFixtures are the fixtures compiled together into one module, each
+// under a path that puts its rule in scope (errdrop wants ErrDropScope,
+// allocfree wants a pinned root's package, …).
 var typedFixtures = []struct {
 	file    string
 	pkgPath string
 }{
 	{"atomicmix.go", "internal/core/cx"},
 	{"errdrop.go", "internal/core/ed"},
-	{"sendliveness.go", "internal/exchange/sl"},
 	{"lockheld_interproc.go", "internal/node/lh"},
-	{"clockcmp_typed.go", "internal/exchange/cc"},
 	{"poolowner.go", "internal/core/po"},
 	{"allocfree.go", "internal/wire"},
 	{"lockorder.go", "internal/node/lo"},
-	{"chanleak.go", "internal/node/cl"},
-	{"closeliveness.go", "internal/node/clv"},
 	{"detsource.go", "internal/sim/ds"},
 }
 
-// buildFixtureModule assembles a compiled temp module ("module dbo")
-// holding the mini market package plus every listed fixture in its own
-// package directory, and type-checks it with LoadModuleTyped.
-func buildFixtureModule(t testing.TB, files map[string]string) *Module {
+// writeFixtureModule writes a temp module ("module dbo") holding the
+// mini market package plus the given files, and returns its root.
+func writeFixtureModule(t testing.TB, files map[string]string) string {
 	t.Helper()
 	root := t.TempDir()
-	tree := map[string]string{
+	writeTree(t, root, map[string]string{
 		"go.mod":                    "module dbo\n\ngo 1.23\n",
 		"internal/market/market.go": miniMarket,
-	}
-	for dst, content := range files {
-		tree[dst] = content
-	}
-	switch tb := t.(type) {
-	case *testing.T:
-		writeTree(tb, root, tree)
-	default:
-		for name, content := range tree {
-			full := filepath.Join(root, filepath.FromSlash(name))
-			if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	mod, err := LoadModuleTyped(root)
+	})
+	writeTree(t, root, files)
+	return root
+}
+
+// buildFixtureModule loads writeFixtureModule's module.
+func buildFixtureModule(t testing.TB, files map[string]string) *Module {
+	t.Helper()
+	mod, err := LoadModule(writeFixtureModule(t, files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +112,9 @@ func readFixture(t testing.TB, name string) string {
 	return string(src)
 }
 
-// TestTypedGolden compiles every type-aware fixture into one temp
-// module, runs the full typed pipeline, and requires an exact match
-// between findings and `// want` expectations — the typed counterpart
-// of TestGolden.
+// TestTypedGolden compiles the multi-package fixtures into one module,
+// so the module-level rules see them side by side, and requires an
+// exact match between findings and `// want` expectations.
 func TestTypedGolden(t *testing.T) {
 	t.Parallel()
 	files := make(map[string]string)
@@ -139,97 +124,32 @@ func TestTypedGolden(t *testing.T) {
 		files[fx.pkgPath+"/"+fx.file] = src
 		srcByBase[fx.file] = src
 	}
-	mod := buildFixtureModule(t, files)
-
-	// Every fixture package must actually be type-checked: a fallback
-	// here means the fixture rotted and the typed rules silently skip it.
-	for _, fx := range typedFixtures {
-		if mod.TypedPackage(fx.pkgPath) == nil {
-			t.Fatalf("%s fell back to syntactic mode: %s", fx.pkgPath, mod.FallbackReason(fx.pkgPath))
-		}
-	}
-
-	diags := mod.Run(Default(), []string{"./..."}, 4)
-
-	type key struct {
-		base string
-		line int
-	}
-	byLine := make(map[key][]Diagnostic)
-	for _, d := range diags {
-		base := filepath.Base(d.Pos.Filename)
-		if _, ok := srcByBase[base]; !ok && base != "market.go" {
-			t.Errorf("diagnostic in unexpected file %s: [%s] %s", d.Pos.Filename, d.Rule, d.Msg)
-			continue
-		}
-		byLine[key{base, d.Pos.Line}] = append(byLine[key{base, d.Pos.Line}], d)
-	}
-
-	for base, src := range srcByBase {
-		wants := parseWants(t, []byte(src))
-		for line, res := range wants {
-			got := byLine[key{base, line}]
-			if len(got) != len(res) {
-				t.Errorf("%s:%d: got %d diagnostic(s), want %d: %v", base, line, len(got), len(res), render(got))
-				continue
-			}
-			for _, re := range res {
-				matched := false
-				for _, d := range got {
-					if re.MatchString(fmt.Sprintf("[%s] %s", d.Rule, d.Msg)) {
-						matched = true
-						break
-					}
-				}
-				if !matched {
-					t.Errorf("%s:%d: no diagnostic matches %q among %v", base, line, re, render(got))
-				}
-			}
-			delete(byLine, key{base, line})
-		}
-	}
-	for k, got := range byLine {
-		t.Errorf("%s:%d: unexpected diagnostic(s): %v", k.base, k.line, render(got))
-	}
+	checkWants(t, buildFixtureModule(t, files).Run(Default(), nil), srcByBase)
 }
 
-// TestInterprocLockHeldBothModes is the tentpole acceptance check: the
-// cross-function lock-held-across-blocking fixture is invisible to the
-// syntactic rule and caught by the interprocedural one.
-func TestInterprocLockHeldBothModes(t *testing.T) {
+// TestInterprocLockHeld: the critical section of the fixture holds no
+// blocking operation of its own, only a call whose callee two hops down
+// sends on a channel. The diagnostic must name the chain and the
+// blocking reason.
+func TestInterprocLockHeld(t *testing.T) {
 	t.Parallel()
 	src := readFixture(t, "lockheld_interproc.go")
-
-	// Syntactic mode: provably silent on this shape.
-	for _, d := range CheckSource("lockheld_interproc.go", "internal/node/lh", []byte(src), Default()) {
-		if d.Rule == "lockheld" {
-			t.Fatalf("syntactic mode unexpectedly caught the interprocedural shape: %s", d.Msg)
-		}
-	}
-
-	// Typed mode: the call-graph chase reports it, naming the chain and
-	// the blocking reason.
 	mod := buildFixtureModule(t, map[string]string{"internal/node/lh/lockheld_interproc.go": src})
-	var hits []Diagnostic
-	for _, d := range mod.Run(Default(), []string{"./..."}, 1) {
-		if d.Rule == "lockheld" {
-			hits = append(hits, d)
-		}
+	diags := mod.Run(Default(), nil)
+	if len(diags) != 1 || diags[0].Rule != "lockheld" {
+		t.Fatalf("want exactly one lockheld finding, got %v", render(diags))
 	}
-	if len(hits) != 1 {
-		t.Fatalf("typed mode: want exactly one lockheld finding, got %v", render(hits))
-	}
-	msg := hits[0].Msg
 	for _, frag := range []string{"forward", "emit", "channel send"} {
-		if !strings.Contains(msg, frag) {
-			t.Errorf("diagnostic should name %q in the blocking chain, got: %s", frag, msg)
+		if !strings.Contains(diags[0].Msg, frag) {
+			t.Errorf("diagnostic should name %q in the blocking chain, got: %s", frag, diags[0].Msg)
 		}
 	}
 }
 
-// TestTypedRuleHasHitAndSuppression extends the acceptance matrix to
-// the type-aware rules: each produces exactly one finding on a minimal
-// compiled module, and a line-scoped //dbo:vet-ignore silences it.
+// TestTypedRuleHasHitAndSuppression is the acceptance matrix for the
+// rules that need the call graph, the CFG or the whole module: each
+// produces exactly one finding on a minimal module, and a line-scoped
+// //dbo:vet-ignore silences it.
 func TestTypedRuleHasHitAndSuppression(t *testing.T) {
 	t.Parallel()
 	cases := map[string]struct {
@@ -251,24 +171,6 @@ func read() int64 { return n }
 func submit() error { return nil }
 
 func f() { submit() }
-`},
-		"sendliveness": {"internal/exchange/slx", `package slx
-
-type s struct {
-	open bool
-	ch   chan int
-}
-
-func mk() *s { return &s{ch: make(chan int)} }
-
-func (x *s) send(v int) { x.ch <- v }
-
-func (x *s) recv() {
-	if !x.open {
-		return
-	}
-	<-x.ch
-}
 `},
 		"lockheld": {"internal/node/lhx", `package lhx
 
@@ -311,23 +213,6 @@ func DecodeInto(dst, buf []byte) []byte {
 	return make([]byte, len(buf))
 }
 `},
-		"chanleak": {"internal/node/clx", `package clx
-
-func f() {
-	ch := make(chan int)
-	go func() {
-		ch <- 1
-	}()
-}
-`},
-		"closeliveness": {"internal/node/clvx", `package clvx
-
-func f() {
-	ch := make(chan int)
-	close(ch)
-	close(ch)
-}
-`},
 		"detsource": {"internal/sim/dsx", `package dsx
 
 func f(w map[int]int) int {
@@ -343,21 +228,7 @@ func f(w map[int]int) int {
 		rule, tc := rule, tc
 		t.Run(rule, func(t *testing.T) {
 			t.Parallel()
-			file := tc.pkgPath + "/fix.go"
-			mod := buildFixtureModule(t, map[string]string{file: tc.src})
-			diags := mod.Run(Default(), []string{"./..."}, 1)
-			if len(diags) != 1 || diags[0].Rule != rule {
-				t.Fatalf("want exactly one %s finding, got %v", rule, render(diags))
-			}
-			hitLine := diags[0].Pos.Line
-
-			lines := strings.Split(tc.src, "\n")
-			directive := "//dbo:vet-ignore " + rule + " fixture exercises typed suppression"
-			patched := strings.Join(append(append(append([]string{}, lines[:hitLine-1]...), directive), lines[hitLine-1:]...), "\n")
-			mod = buildFixtureModule(t, map[string]string{file: patched})
-			if diags := mod.Run(Default(), []string{"./..."}, 1); len(diags) != 0 {
-				t.Fatalf("directive did not suppress the %s finding: %v", rule, render(diags))
-			}
+			hitAndSuppress(t, rule, tc.pkgPath, tc.src)
 		})
 	}
 }
@@ -390,7 +261,7 @@ func ba() {
 `
 	file := "internal/node/lox/fix.go"
 	mod := buildFixtureModule(t, map[string]string{file: fmt.Sprintf(src, "", "")})
-	diags := mod.Run(Default(), []string{"./..."}, 1)
+	diags := mod.Run(Default(), nil)
 	if len(diags) != 2 || diags[0].Rule != "lockorder" || diags[1].Rule != "lockorder" {
 		t.Fatalf("want exactly two lockorder findings (one per edge), got %v", render(diags))
 	}
@@ -399,133 +270,109 @@ func ba() {
 		" //dbo:vet-ignore lockorder test suppresses the forward edge",
 		" //dbo:vet-ignore lockorder test suppresses the reverse edge")
 	mod = buildFixtureModule(t, map[string]string{file: patched})
-	if diags := mod.Run(Default(), []string{"./..."}, 1); len(diags) != 0 {
+	if diags := mod.Run(Default(), nil); len(diags) != 0 {
 		t.Fatalf("directives did not suppress the cycle: %v", render(diags))
 	}
 }
 
-// TestTypedFallback: a package that parses but does not compile must
-// degrade to the syntactic rules, not vanish from the report.
-func TestTypedFallback(t *testing.T) {
+// TestTypeErrorIsHardError: a package that parses but does not compile
+// fails the load — the PR 17 shape, where such a package used to be
+// demoted to name heuristics without a word. The error names the
+// package at fault, not the first one (in load order) that imports it.
+func TestTypeErrorIsHardError(t *testing.T) {
 	t.Parallel()
-	mod := buildFixtureModule(t, map[string]string{
-		// Type error: undefined identifier. Still parses, so the
-		// syntactic walltime heuristic must fire.
-		"internal/sim/fb/fb.go": `package fb
-
-import "time"
-
-func f() {
-	_ = time.Now()
-	_ = undefinedIdentifier
-}
-`,
+	root := writeFixtureModule(t, map[string]string{
+		"internal/sim/aa/aa.go": "package aa\n\nimport _ \"dbo/internal/sim/fb\"\n",
+		"internal/sim/fb/fb.go": "package fb\n\nvar _ = undefinedIdentifier\n",
 	})
-	if mod.TypedPackage("internal/sim/fb") != nil {
-		t.Fatal("package with a type error should not be reported as typed")
+	mod, err := LoadModule(root)
+	if err == nil || mod != nil {
+		t.Fatalf("LoadModule = %v, %v; want no module and an error", mod, err)
 	}
-	if r := mod.FallbackReason("internal/sim/fb"); r == "" {
-		t.Fatal("fallback reason should be recorded")
+	for _, frag := range []string{"package internal/sim/fb does not type-check", "fb.go:3", "undefinedIdentifier"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("error should contain %q, got: %v", frag, err)
+		}
 	}
-	var rules []string
-	for _, d := range mod.Run(Default(), []string{"./internal/sim/..."}, 1) {
-		rules = append(rules, d.Rule)
-	}
-	if fmt.Sprint(rules) != "[walltime]" {
-		t.Fatalf("fallback package findings = %v, want [walltime]", rules)
+	if strings.Contains(err.Error(), "sim/aa") {
+		t.Errorf("error should name the package at fault only, got: %v", err)
 	}
 }
 
-// TestVetModuleClean runs the full typed pipeline over this repository
-// itself: the swept tree must produce zero findings (the CI gate), and
-// a load+run cycle must fit the wall-clock budget that keeps dbo-vet
-// usable as a pre-commit hook. The budget is generous — CI boxes are
-// slow — and relaxed further under the race detector.
-func TestVetModuleClean(t *testing.T) {
+// repo is this repository, loaded once for every test that needs it.
+var repo struct {
+	once sync.Once
+	mod  *Module
+	err  error
+	load time.Duration
+}
+
+func loadRepo(t testing.TB) (*Module, time.Duration) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
+	repo.once.Do(func() {
+		root, err := ModuleRoot(".")
+		if err != nil {
+			repo.err = err
+			return
+		}
+		start := time.Now()
+		repo.mod, repo.err = LoadModule(root)
+		repo.load = time.Since(start)
+	})
+	if repo.err != nil {
+		t.Fatal(repo.err)
 	}
+	return repo.mod, repo.load
+}
+
+// TestVetModuleClean runs dbo-vet over this repository itself: the
+// swept tree must produce zero findings (the CI gate), and load plus
+// run must fit the wall-clock budget that keeps dbo-vet usable as a
+// pre-commit hook (under a second on a 2-vCPU box; the budget leaves
+// room for a slow CI runner and is relaxed under the race detector).
+func TestVetModuleClean(t *testing.T) {
+	mod, load := loadRepo(t)
 	start := time.Now()
-	mod, err := LoadModuleTyped(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := mod.Run(Default(), []string{"./..."}, 4)
-	elapsed := time.Since(start)
+	diags := mod.Run(Default(), nil)
+	elapsed := load + time.Since(start)
 
 	for _, d := range diags {
 		t.Errorf("swept tree is not clean: %s", d.String())
 	}
-
-	budget := 120 * time.Second
+	budget := 10 * time.Second
 	if raceEnabled {
-		budget = 360 * time.Second
+		budget = 30 * time.Second
 	}
 	if elapsed > budget {
-		t.Errorf("typed vet of the module took %v, over the %v budget", elapsed, budget)
-	}
-
-	// The real tree must actually be analyzed in typed mode: the
-	// flagship packages may not silently fall back.
-	for _, rel := range []string{"internal/core", "internal/gateway", "internal/exchange", "internal/market"} {
-		if mod.TypedPackage(rel) == nil {
-			t.Errorf("%s fell back to syntactic mode: %s", rel, mod.FallbackReason(rel))
-		}
-	}
-
-	// The dataflow-backed rules get their own wall-clock guard: the CFG
-	// construction + fixed-point solve over every function in the module
-	// must stay a small fraction of the overall budget, or dbo-vet stops
-	// being usable as a pre-commit hook.
-	cfg := Default()
-	cfg.EnabledRules = []string{"poolowner", "allocfree", "lockorder"}
-	start = time.Now()
-	if diags := mod.Run(cfg, []string{"./..."}, 4); len(diags) != 0 {
-		t.Errorf("dataflow rules not clean on the swept tree: %v", diags)
-	}
-	dfElapsed := time.Since(start)
-	dfBudget := 30 * time.Second
-	if raceEnabled {
-		dfBudget = 90 * time.Second
-	}
-	if dfElapsed > dfBudget {
-		t.Errorf("dataflow pass took %v, over the %v budget", dfElapsed, dfBudget)
-	}
-
-	// So do the concurrency-topology rules: building the spawn graph and
-	// channel-endpoint classes plus all three rules must fit the same
-	// fraction of the budget.
-	cfg = Default()
-	cfg.EnabledRules = []string{"chanleak", "closeliveness", "detsource"}
-	start = time.Now()
-	if diags := mod.Run(cfg, []string{"./..."}, 4); len(diags) != 0 {
-		t.Errorf("concurrency rules not clean on the swept tree: %v", diags)
-	}
-	ccElapsed := time.Since(start)
-	if ccElapsed > dfBudget {
-		t.Errorf("concurrency pass took %v, over the %v budget", ccElapsed, dfBudget)
+		t.Errorf("vet of the module took %v (load %v), over the %v budget", elapsed, load, budget)
 	}
 }
 
-// BenchmarkVetModule measures a full typed load+analyze cycle over the
-// repository, the number CI's budget guard tracks.
+// BenchmarkVetModule measures one run over the loaded repository of
+// every rule together and of each rule alone (DESIGN §6.1's cost
+// column), and reports the one-time load beside them.
 func BenchmarkVetModule(b *testing.B) {
-	root, err := ModuleRoot(".")
-	if err != nil {
-		b.Fatal(err)
+	mod, load := loadRepo(b)
+	names := []string{"all"}
+	for name := range RuleNames() {
+		names = append(names, name)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		mod, err := LoadModuleTyped(root)
-		if err != nil {
-			b.Fatal(err)
+	sort.Strings(names[1:])
+	for _, name := range names {
+		cfg := Default()
+		if name != "all" {
+			cfg.EnabledRules = []string{name}
 		}
-		if diags := mod.Run(Default(), []string{"./..."}, 4); len(diags) != 0 {
-			b.Fatalf("swept tree is not clean: %d finding(s)", len(diags))
-		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if diags := mod.Run(cfg, nil); len(diags) != 0 {
+					b.Fatalf("swept tree is not clean: %d finding(s)", len(diags))
+				}
+			}
+			b.ReportMetric(float64(load.Milliseconds()), "load-ms")
+		})
 	}
 }

@@ -12,15 +12,12 @@ import (
 // (internal/sim): events execute in timestamp order and every run
 // replays from its seed. One time.Now in a sim-reachable path silently
 // couples results to the host scheduler and destroys that property.
-// Test files are exempt everywhere — tests legitimately bound waits
-// with wall-clock timeouts.
 //
-// In type-aware mode the callee is resolved through types.Info: only a
-// function actually belonging to package time fires (a local type with
-// a Now method, or an identifier shadowing the import, no longer
-// trips the rule), and dot-imported wall-clock calls — invisible to the
-// import-name heuristic — are caught. Files without type info keep the
-// syntactic import-name matching.
+// The callee is resolved through types.Info: only a function actually
+// belonging to package time fires, whatever name it is reached by — an
+// aliased or dot import is caught, a local type with a Now method or an
+// identifier shadowing the import is not. Test files are not loaded, so
+// tests may bound their waits with wall-clock timeouts.
 var WallTime = &Analyzer{
 	Name: "walltime",
 	Doc:  "wall-clock reads/sleeps outside the real-time package allowlist",
@@ -47,62 +44,28 @@ func runWallTime(p *Pass) {
 		return
 	}
 	for _, f := range p.Files {
-		if isTestFile(p.fileName(f)) {
-			continue
-		}
-		if p.FileTyped(f) {
-			runWallTimeTyped(p, f)
-			continue
-		}
-		timeNames := importNames(f, "time")
-		if len(timeNames) == 0 {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel == nil {
+			var id *ast.Ident
+			switch fun := ast.Unparen(call.Fun).(type) {
+			case *ast.Ident: // dot import
+				id = fun
+			case *ast.SelectorExpr:
+				id = fun.Sel
+			default:
 				return true
 			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok || !timeNames[id.Name] || !wallTimeFns[sel.Sel.Name] {
+			fn, ok := p.UseOf(id).(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !wallTimeFns[fn.Name()] {
 				return true
 			}
 			p.Reportf(call.Pos(), "walltime",
 				"time.%s: wall-clock calls are forbidden outside the real-time allowlist (%s); sim/check/replay paths must stay deterministic — use the component's Scheduler/sim.Time instead",
-				sel.Sel.Name, strings.Join(p.Cfg.WallTimeAllow, ", "))
+				fn.Name(), strings.Join(p.Cfg.WallTimeAllow, ", "))
 			return true
 		})
 	}
-}
-
-// runWallTimeTyped flags calls whose callee resolves to one of the
-// wall-clock functions of package time, whatever name it is reached by.
-func runWallTimeTyped(p *Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var id *ast.Ident
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident: // dot import
-			id = fun
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		default:
-			return true
-		}
-		fn, ok := p.UseOf(id).(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !wallTimeFns[fn.Name()] {
-			return true
-		}
-		p.Reportf(call.Pos(), "walltime",
-			"time.%s: wall-clock calls are forbidden outside the real-time allowlist (%s); sim/check/replay paths must stay deterministic — use the component's Scheduler/sim.Time instead",
-			fn.Name(), strings.Join(p.Cfg.WallTimeAllow, ", "))
-		return true
-	})
 }

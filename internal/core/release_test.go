@@ -413,7 +413,6 @@ func TestRBWithDriftingLocalClock(t *testing.T) {
 		t.Fatalf("DC = %v", tr.DC)
 	}
 	// Elapsed measured on the drifting clock: ~12µs ± drift.
-	//dbo:vet-ignore clockcmp tolerance window on a single clock's Elapsed, not a cross-clock ordering
 	if tr.DC.Elapsed < 11990*sim.Nanosecond || tr.DC.Elapsed > 12010*sim.Nanosecond {
 		t.Fatalf("elapsed = %v", tr.DC.Elapsed)
 	}

@@ -1,10 +1,12 @@
 package node
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"runtime/pprof"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,8 +35,9 @@ func strategyFor(id market.ParticipantID) Strategy {
 	}
 }
 
-// startCluster boots one CES and n MPs on loopback.
-func startCluster(t *testing.T, n, ticks int) (*CES, []*MP) {
+// startCluster boots one CES and n MPs on loopback; the MPs named in
+// tcp send their reverse path over framed TCP, the rest over UDP.
+func startCluster(t *testing.T, n, ticks int, tcp ...market.ParticipantID) (*CES, []*MP) {
 	t.Helper()
 	ces, err := NewCES(CESConfig{
 		Listen:       "127.0.0.1:0",
@@ -51,14 +54,20 @@ func startCluster(t *testing.T, n, ticks int) (*CES, []*MP) {
 	var addrs []MPAddr
 	for i := 1; i <= n; i++ {
 		id := market.ParticipantID(i)
-		mp, err := StartMP(MPConfig{
+		cfg := MPConfig{
 			ID:       id,
 			Listen:   "127.0.0.1:0",
 			CES:      ces.Addr().String(),
 			Delta:    25 * time.Millisecond,
 			Tau:      2 * time.Millisecond,
 			Strategy: strategyFor(id),
-		})
+		}
+		for _, tid := range tcp {
+			if tid == id {
+				cfg.CESTCP = ces.TCPAddr().String()
+			}
+		}
+		mp, err := StartMP(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,6 +394,38 @@ func TestLiveClusterTCPReversePath(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStopLeavesNoGoroutines is the lifecycle oracle for every `go`
+// statement under internal/: a CES (loop.Run, Endpoint.ServeMsg,
+// TCPServer.ServeMsg and, once a peer dials, serveConn) and two MPs
+// (loop.Run and Endpoint.ServeMsg each), one on the UDP reverse path
+// and one on framed TCP. After traffic has flowed and everything is
+// stopped, the goroutine count must return to where it started. Stop
+// does not wait for the goroutines it tells to exit, hence the poll.
+func TestStopLeavesNoGoroutines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live cluster test needs real time")
+	}
+	before := runtime.NumGoroutine()
+
+	const nMP, ticks = 2, 4
+	ces, mps := startCluster(t, nMP, ticks, nMP) // the last MP on TCP
+	waitForward(t, ces, nMP*ticks, 10*time.Second)
+
+	ces.Stop()
+	for _, mp := range mps {
+		mp.Stop()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			var stacks bytes.Buffer
+			pprof.Lookup("goroutine").WriteTo(&stacks, 1) //nolint:errcheck // a bytes.Buffer does not fail
+			t.Fatalf("%d goroutines before the cluster, %d five seconds after Stop:\n%s", before, runtime.NumGoroutine(), stacks.String())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

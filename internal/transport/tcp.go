@@ -49,7 +49,7 @@ func readFrame(r *bufio.Reader, scratch []byte, m *wire.Msg) ([]byte, error) {
 // TCPServer accepts framed-message connections.
 type TCPServer struct {
 	ln     net.Listener
-	closed atomic.Bool
+	closed atomic.Bool // stored under mu, so that register and Close's sweep agree
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -106,15 +106,32 @@ func (s *TCPServer) accept(bind func(from netip.AddrPort) func(*wire.Msg)) error
 			}
 			return fmt.Errorf("transport: accept: %w", err)
 		}
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
+		if !s.register(conn) {
+			continue
+		}
 		var from netip.AddrPort
 		if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
 			from = ta.AddrPort()
 		}
 		go s.serveConn(conn, bind(from))
 	}
+}
+
+// register records a freshly accepted conn so that Close will close it.
+// Once Close has swept nothing would, and the conn's reader goroutine
+// would live until the peer hung up: such a conn is refused and torn
+// down here, as the shutdown close it is.
+func (s *TCPServer) register(conn net.Conn) bool {
+	s.mu.Lock()
+	closed := s.closed.Load()
+	if !closed {
+		s.conns[conn] = struct{}{}
+	}
+	s.mu.Unlock()
+	if closed {
+		s.finishConn(conn.Close())
+	}
+	return !closed
 }
 
 func (s *TCPServer) serveConn(conn net.Conn, h func(*wire.Msg)) {
@@ -168,15 +185,15 @@ func (s *TCPServer) ConnStats() (clean, errored int64) {
 
 // Close stops accepting and closes every live connection.
 func (s *TCPServer) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed.Store(true)
 	err := s.ln.Close()
-	s.mu.Lock()
 	for c := range s.conns {
 		if cerr := c.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
-	s.mu.Unlock()
 	return err
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -140,6 +141,47 @@ func TestTCPServerCloseUnblocksServe(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Serve did not return")
+	}
+}
+
+// A conn accepted just before Close sweeps must not be left to a reader
+// goroutine nothing will ever stop: registration after Close is refused
+// and the conn closed, while one registered before is Close's to close.
+func TestTCPServerRefusesConnAfterClose(t *testing.T) {
+	srv, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerClosed := func(peer net.Conn) bool {
+		peer.SetReadDeadline(time.Now().Add(2 * time.Second))
+		_, err := peer.Read(make([]byte, 1))
+		return err == io.EOF
+	}
+
+	early, earlyPeer := net.Pipe()
+	if !srv.register(early) {
+		t.Fatal("register before Close was refused")
+	}
+	srv.Close()
+	if !peerClosed(earlyPeer) {
+		t.Fatal("Close left a registered conn open")
+	}
+
+	late, latePeer := net.Pipe()
+	if srv.register(late) {
+		t.Fatal("register after Close was accepted")
+	}
+	if !peerClosed(latePeer) {
+		t.Fatal("a refused conn was left open")
+	}
+	srv.mu.Lock()
+	_, kept := srv.conns[late]
+	srv.mu.Unlock()
+	if kept {
+		t.Fatal("a refused conn was recorded")
+	}
+	if clean, errored := srv.ConnStats(); clean != 1 || errored != 0 {
+		t.Fatalf("ConnStats = %d clean, %d errored; want the refusal counted as one clean shutdown close", clean, errored)
 	}
 }
 
