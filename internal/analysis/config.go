@@ -165,11 +165,16 @@ func Default() *Config {
 			// are TestInboxZeroAlloc, TestLoopScheduleZeroAlloc,
 			// TestServeMsgZeroAlloc and TestLiveIngestAllocBudget). The
 			// CES switch carries the path's one deliberate allocation,
-			// the retained trade.
+			// the retained trade. The end-of-turn egress flush is a
+			// stored func the call graph does not follow from Loop.Run,
+			// so it is a root of its own, as is the segmented send under
+			// it (probes: TestEndOfTurnZeroAlloc, TestWriteSegments).
 			{Pkg: "internal/rt", Func: "(Inbox[T]).Put"},
 			{Pkg: "internal/rt", Func: "(Inbox[T]).drain"},
 			{Pkg: "internal/rt", Func: "(Loop).Schedule"},
 			{Pkg: "internal/transport", Func: "(Endpoint).Write"},
+			{Pkg: "internal/transport", Func: "(Endpoint).WriteSegments"},
+			{Pkg: "internal/node", Func: "(CES).flush"},
 			{Pkg: "internal/node", Func: "(CES).onMessage"},
 			{Pkg: "internal/node", Func: "(MP).onMessage"},
 			// One order into the matching engine: a submit that crosses,

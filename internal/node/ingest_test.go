@@ -134,27 +134,40 @@ func order(mp market.ParticipantID, seq market.TradeSeq, elapsed sim.Time) marke
 // dbo-load's synthetic fleet — driving crossing trades into a started
 // CES in bursts, each released by a heartbeat round and waited for, so
 // nothing piles up in a socket buffer. A reader drains what comes back.
+// Trades come from ids 1..senders in rotation: with senders below mps
+// the silent ids' watermarks hold every trade of a burst until the
+// heartbeat round, which then releases the burst in one loop turn.
 type ingestFleet struct {
 	sock      *rawSocket
 	ces       *CES
 	mps       int
+	senders   int
 	forwarded atomic.Int64
 	seq       market.TradeSeq
 	sent      int64
 	elapsed   sim.Time
 }
 
-func startIngestFleet(t *testing.T, mps int) *ingestFleet {
+func startIngestFleet(t *testing.T, mps int) *ingestFleet { return startIngestFleetRead(t, mps, nil) }
+
+// startIngestFleetRead is startIngestFleet whose reader also hands each
+// datagram to read (on the reader's goroutine; the bytes are the
+// reader's).
+func startIngestFleetRead(t *testing.T, mps int, read func([]byte)) *ingestFleet {
 	t.Helper()
-	f := &ingestFleet{sock: newRawSocket(t), mps: mps}
+	f := &ingestFleet{sock: newRawSocket(t), mps: mps, senders: mps}
 	var drained sync.WaitGroup
 	drained.Add(1)
 	go func() {
 		defer drained.Done()
 		buf := make([]byte, 2048)
 		for {
-			if _, _, err := f.sock.conn.ReadFromUDPAddrPort(buf); err != nil {
+			n, _, err := f.sock.conn.ReadFromUDPAddrPort(buf)
+			if err != nil {
 				return
+			}
+			if read != nil {
+				read(buf[:n])
 			}
 		}
 	}()
@@ -175,7 +188,7 @@ func (f *ingestFleet) run(t *testing.T, n, burst int) {
 		for i := 0; i < burst; i++ {
 			f.seq++
 			f.elapsed++
-			tr := order(market.ParticipantID(i%f.mps+1), f.seq, f.elapsed)
+			tr := order(market.ParticipantID(i%f.senders+1), f.seq, f.elapsed)
 			f.sock.buf = wire.AppendTrade(f.sock.buf[:0], &tr)
 			f.sock.write(t, f.sock.buf, to)
 			f.sent++

@@ -12,8 +12,14 @@
 // into its own wire.Msg (transport.ServeMsg), the message crosses onto
 // the loop by value through one rt.Inbox per node, and onMessage
 // switches on its type. Outbound, the loop encodes into a buffer it
-// owns and writes the bytes (transport.Write), once per message however
-// many destinations it has.
+// owns, once per message however many destinations it has. A market-data
+// point, a probe and everything an MP sends are written at once
+// (transport.Write): the release buffer's delivery time and a probe's T1
+// start at the write. The exchange's execution reports and retransmitted
+// points are not written one by one: each is appended to its endpoint's
+// egress queue, and the queues are flushed at the end of the loop turn
+// that filled them (rt.Loop.OnTurnEnd), each as one segmented send
+// (transport.WriteSegments) that arrives as one datagram per record.
 //
 // Who is a destination depends on the message. Market data and probes go
 // to every participant: each release buffer is owed its own copy, and a
@@ -82,10 +88,12 @@ func resolve(addr string) (netip.AddrPort, error) {
 }
 
 // registerSocket exports what the kernel is doing with a node's UDP
-// socket: the receive buffer it granted and the datagrams it dropped
-// because that buffer was full.
+// socket: the receive buffer it granted, the send buffer it defaults to
+// (nothing sets it) and the datagrams it dropped because the receive
+// buffer was full.
 func registerSocket(reg *metrics.Registry, ep *transport.Endpoint) {
 	reg.Func("socket_rcvbuf_bytes", ep.RcvBuf)
+	reg.Func("socket_sndbuf_bytes", ep.SndBuf)
 	reg.Func("udp_rx_dropped", ep.Dropped)
 }
 
@@ -162,11 +170,13 @@ type CES struct {
 	// owed its own copy); eps is the distinct addresses among them in
 	// first-seen order (execution reports: one per socket, however many
 	// ids it hosts); peers finds one participant by id (an exec's owner,
-	// a heartbeat's sender) as peers[id-peerBase]. nextTick is the
-	// deadline of the market-data tick that is armed.
+	// a heartbeat's sender) as peers[id-peerBase]. egress[i] is what this
+	// loop turn has queued for eps[i]. nextTick is the deadline of the
+	// market-data tick that is armed.
 	buf      []byte
 	addrs    []netip.AddrPort
 	eps      []netip.AddrPort
+	egress   []egressQueue
 	peers    []peer
 	peerBase int
 	nextTick sim.Time
@@ -193,6 +203,14 @@ type peer struct {
 	lastHB sim.Time       // arrival of its latest heartbeat, for the staleness histogram; -1 before the first
 }
 
+// egressQueue is the records bound for one endpoint that the current
+// loop turn has produced so far: a run of encoded records of one size,
+// back to back, which is what one segmented send carries.
+type egressQueue struct {
+	buf []byte
+	seg int // size of each record in buf
+}
+
 // maxIDSpan bounds max−min over the participant ids a CES is started
 // with, since it indexes a table by id.
 const maxIDSpan = 1 << 16
@@ -204,7 +222,7 @@ type cesMetrics struct {
 	dataPoints, batchesSealed          *metrics.Counter
 	tradesReceived, heartbeatsReceived *metrics.Counter
 	tradesForwarded, executions        *metrics.Counter
-	execReportsSent                    *metrics.Counter
+	execReportsSent, egressWrites      *metrics.Counter
 	obHold, response, hbStaleness      *metrics.Histogram
 }
 
@@ -247,10 +265,12 @@ func NewCES(cfg CESConfig) (*CES, error) {
 		dataPoints: c.reg.Counter("data_points"), batchesSealed: c.reg.Counter("batches_sealed"),
 		tradesReceived: c.reg.Counter("trades_received"), heartbeatsReceived: c.reg.Counter("heartbeats_received"),
 		tradesForwarded: c.reg.Counter("trades_forwarded"), executions: c.reg.Counter("executions"),
-		execReportsSent: c.reg.Counter("exec_reports_sent"), hbStaleness: c.reg.Histogram("hb_staleness_ns"),
-		obHold: c.reg.Histogram("ob_hold_ns"), response: c.reg.Histogram("response_ns"),
+		execReportsSent: c.reg.Counter("exec_reports_sent"), egressWrites: c.reg.Counter("egress_writes"),
+		hbStaleness: c.reg.Histogram("hb_staleness_ns"), obHold: c.reg.Histogram("ob_hold_ns"),
+		response: c.reg.Histogram("response_ns"),
 	}
 	registerSocket(c.reg, ep)
+	c.reg.Func("gso_disabled", ep.GSODisabled)
 	cfg.Flight.SetNode(market.NodeCES)
 	if cfg.Flight != nil {
 		c.reg.Func("flight_ring_dropped", cfg.Flight.Dropped)
@@ -272,10 +292,11 @@ func NewCES(cfg CESConfig) (*CES, error) {
 // TCPAddr returns the framed-TCP reverse-path address.
 func (c *CES) TCPAddr() net.Addr { return c.tcp.Addr() }
 
-// Start wires the participant set and begins generating market data.
+// Start wires the participant set and begins generating market data. A
+// CES whose Start fails has closed both its listeners.
 func (c *CES) Start(mps []MPAddr) error {
 	if len(mps) == 0 {
-		c.ep.Close()
+		c.closeListeners()
 		return fmt.Errorf("node: CES needs at least one MP")
 	}
 	c.cfg.MPs = mps
@@ -285,7 +306,7 @@ func (c *CES) Start(mps []MPAddr) error {
 	}
 	lo, hi := int(slices.Min(parts)), int(slices.Max(parts))
 	if hi-lo >= maxIDSpan {
-		c.ep.Close()
+		c.closeListeners()
 		return fmt.Errorf("node: participant ids %d..%d span more than %d", lo, hi, maxIDSpan)
 	}
 	c.peers, c.peerBase = make([]peer, hi-lo+1), lo
@@ -293,7 +314,7 @@ func (c *CES) Start(mps []MPAddr) error {
 	for _, mp := range mps {
 		a, err := resolve(mp.Addr)
 		if err != nil {
-			c.ep.Close()
+			c.closeListeners()
 			return fmt.Errorf("node: MP %d addr %q: %w", mp.ID, mp.Addr, err)
 		}
 		c.addrs = append(c.addrs, a)
@@ -305,6 +326,11 @@ func (c *CES) Start(mps []MPAddr) error {
 		}
 		c.peers[int(mp.ID)-lo] = peer{addr: a, ep: ep, lastHB: -1}
 	}
+	c.egress = make([]egressQueue, len(c.eps))
+	for i := range c.egress {
+		c.egress[i].buf = make([]byte, 0, transport.MaxSegments*wire.MaxSize)
+	}
+	c.loop.OnTurnEnd(c.flush)
 	if c.cfg.Adaptive != nil {
 		c.policy = core.NewAdaptiveThreshold(*c.cfg.Adaptive, sim.FromDuration(c.cfg.StragglerRTT))
 	}
@@ -415,13 +441,19 @@ func (c *CES) scheduleProbes() {
 // Metrics exposes the node's operational registry: counters
 // (data_points, batches_sealed, trades_received, heartbeats_received,
 // retx_requests, retx_rejected, trades_forwarded, executions,
-// exec_reports_sent — execution-report datagrams written, one per fill
-// per distinct endpoint — straggler_transitions, probes_sent,
+// exec_reports_sent — execution-report datagrams, one per fill per
+// distinct endpoint, counted when queued — egress_writes — the syscalls
+// that sent the egress queues (those reports and retransmitted points),
+// so egress_writes/exec_reports_sent is how well a turn's fills shared
+// their sends — straggler_transitions, probes_sent,
 // probe_rtt_invalid), live gauges
 // (ob_queued, stragglers, batches_delivered_min, adaptive_threshold_ns
 // when Adaptive is on, per-MP wm_lag_points_mp_<id> and
 // straggler_mp_<id>; socket_rcvbuf_bytes — the receive buffer the kernel
-// granted — and udp_rx_dropped — datagrams it dropped at the socket),
+// granted — socket_sndbuf_bytes — its send buffer, read and never set —
+// udp_rx_dropped — datagrams it dropped at the socket — and
+// gso_disabled — 1 once the egress queues go out one syscall per record
+// because the platform or the kernel refused a segmented send, else 0),
 // and histograms
 // (ob_hold_ns, response_ns, hb_staleness_ns, probe_rtt_ns). Mount
 // Metrics().Handler() (JSON) or Metrics().PromHandler() (Prometheus
@@ -472,9 +504,13 @@ func (c *CES) RTTTrace(mp market.ParticipantID) *trace.Trace {
 func (c *CES) Stop() {
 	c.stop.Do(func() {
 		c.loop.Stop()
-		c.ep.Close()
-		c.tcp.Close()
+		c.closeListeners()
 	})
+}
+
+func (c *CES) closeListeners() {
+	c.ep.Close()
+	c.tcp.Close()
 }
 
 func (c *CES) genTime(p market.PointID) sim.Time {
@@ -624,7 +660,8 @@ func (c *CES) onMessage(m *wire.Msg) {
 	}
 }
 
-// retransmit resends lost points to one MP (the out-of-band slow path).
+// retransmit resends lost points to one MP (the out-of-band slow path):
+// a burst to one endpoint, so it rides that endpoint's egress queue.
 // The range comes straight off the socket: point ids start at 1, so an
 // empty or inverted range is rejected, and To is clamped to what has
 // been generated before it sizes anything.
@@ -645,7 +682,7 @@ func (c *CES) retransmit(r core.RetxRequest) {
 	c.mu.Unlock()
 	for _, dp := range pts {
 		c.buf = wire.AppendMarketData(c.buf[:0], dp)
-		c.ep.Write(c.buf, p.addr) //nolint:errcheck
+		c.enqueue(p.ep)
 	}
 }
 
@@ -678,10 +715,11 @@ func (c *CES) onForward(t *market.Trade) {
 	c.cfg.Auditor.OnForward(t, c.loop.Now())
 	// Execution reports go back to both counterparties (the market data
 	// stream is the public side; these are the private fills): one
-	// encoding, written once to each distinct endpoint among the maker's
-	// and the taker's. The report names both owners, so two ids behind one
-	// address (a gateway, a self-cross) are served by one datagram; an
-	// owner the CES does not know has no endpoint and suppresses nothing.
+	// encoding, queued once for each distinct endpoint among the maker's
+	// and the taker's, and sent with the rest of this turn's (flush). The
+	// report names both owners, so two ids behind one address (a gateway,
+	// a self-cross) are served by one datagram; an owner the CES does not
+	// know has no endpoint and suppresses nothing.
 	for _, e := range execs {
 		c.buf = wire.AppendExec(c.buf[:0], wire.Exec{
 			Maker: uint64(e.Maker), Taker: uint64(e.Taker),
@@ -710,10 +748,49 @@ func (c *CES) endpointOf(owner int32) int {
 	return -1
 }
 
-// report writes the execution report in c.buf to one endpoint.
+// report queues the execution report in c.buf for one endpoint.
 func (c *CES) report(ep int) {
-	c.ep.Write(c.buf, c.eps[ep]) //nolint:errcheck // UDP loss is part of the model
+	c.enqueue(ep)
 	c.m.execReportsSent.Inc()
+}
+
+// enqueue appends the record in c.buf to endpoint ep's egress queue. A
+// queue is a run of equal-size records in arrival order: a record of
+// another size sends what is queued first, and a queue that has reached
+// what one segmented send carries is sent at once, so order to an
+// endpoint is the order of the enqueues.
+func (c *CES) enqueue(ep int) {
+	q := &c.egress[ep]
+	if len(q.buf) > 0 && len(c.buf) != q.seg {
+		c.send(ep)
+	}
+	q.seg = len(c.buf)
+	q.buf = append(q.buf, c.buf...)
+	if len(q.buf) == transport.MaxSegments*q.seg {
+		c.send(ep)
+	}
+}
+
+// send writes endpoint ep's queue as one segmented send and empties it.
+// egress_writes grows by the syscalls that took: one, or one per record
+// where the endpoint cannot segment. Only the loop writes to c.ep, so
+// the difference is this send's.
+func (c *CES) send(ep int) {
+	q := &c.egress[ep]
+	before := c.ep.Writes()
+	c.ep.WriteSegments(q.buf, q.seg, c.eps[ep]) //nolint:errcheck // UDP loss is part of the model
+	c.m.egressWrites.Add(c.ep.Writes() - before)
+	q.buf = q.buf[:0]
+}
+
+// flush is the loop's end-of-turn func: everything the turn's messages
+// and timers queued leaves now, one send per endpoint that has any.
+func (c *CES) flush() {
+	for ep := range c.egress {
+		if len(c.egress[ep].buf) > 0 {
+			c.send(ep)
+		}
+	}
 }
 
 // Forwarded snapshots the trades forwarded to the ME so far, in order.
@@ -907,10 +984,10 @@ func (m *MP) Addr() *net.UDPAddr { return m.ep.LocalAddr() }
 
 // Metrics exposes the participant's operational registry: counters
 // (batches_delivered, trades_submitted, fills, probes_reflected,
-// data_rejected), the socket gauges socket_rcvbuf_bytes and
-// udp_rx_dropped, and histograms (delivery_gap_ns — inter-batch pacing
-// on this node's clock — and response_ns). Mount Metrics().Handler() or
-// .PromHandler() to scrape.
+// data_rejected), the socket gauges socket_rcvbuf_bytes,
+// socket_sndbuf_bytes and udp_rx_dropped, and histograms
+// (delivery_gap_ns — inter-batch pacing on this node's clock — and
+// response_ns). Mount Metrics().Handler() or .PromHandler() to scrape.
 func (m *MP) Metrics() *metrics.Registry { return m.reg }
 
 // Stop shuts the node down.

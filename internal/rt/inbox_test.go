@@ -1,7 +1,10 @@
 package rt
 
 import (
+	"slices"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -238,4 +241,84 @@ func startBenchLoop(b *testing.B) *Loop {
 	go func() { l.Run(); close(stopped) }()
 	b.Cleanup(func() { l.Stop(); <-stopped })
 	return l
+}
+
+// turnLog records what a loop did between two end-of-turn calls. The
+// handlers and the end-of-turn func all run on the loop goroutine; each
+// non-empty stretch is handed to the test over the channel.
+type turnLog struct {
+	cur   []string
+	turns chan []string
+}
+
+func (g *turnLog) Fire(arg int) { g.cur = append(g.cur, "timer"+strconv.Itoa(arg)) }
+
+func (g *turnLog) end() {
+	if len(g.cur) > 0 { // the half of a turn in which nothing ran says nothing
+		g.turns <- g.cur
+		g.cur = nil
+	}
+}
+
+func (g *turnLog) want(t *testing.T, want ...string) {
+	t.Helper()
+	select {
+	case got := <-g.turns:
+		if !slices.Equal(got, want) {
+			t.Fatalf("before an end-of-turn call the loop ran %v, want %v", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no end-of-turn call after %v", want)
+	}
+}
+
+// The end-of-turn func runs once the inboxes are drained — after every
+// value of the turn, not after each — and again once the due timers
+// have fired, so a turn that only fires a timer is followed by it too.
+func TestEndOfTurnRunsAfterInboxAndTimers(t *testing.T) {
+	l := NewLoop()
+	g := &turnLog{turns: make(chan []string, 8)} // more than the turns below, so end never blocks the loop
+	in := NewInbox(l, func(n *int) { g.cur = append(g.cur, "msg"+strconv.Itoa(*n)) })
+	l.OnTurnEnd(g.end)
+	for i := 1; i <= 3; i++ {
+		in.Put(&i)
+	}
+	go l.Run()
+	t.Cleanup(l.Stop)
+	g.want(t, "msg1", "msg2", "msg3")
+
+	l.Schedule(l.Now(), g, 7) // nothing in the inbox: a timer-only turn
+	g.want(t, "timer7")
+
+	// One turn with both halves: the posted func runs in the drain; the
+	// timer it arms is already due and fires in the same turn, after an
+	// end-of-turn call of its own; the value it puts is the next turn's.
+	l.Post(func() {
+		g.cur = append(g.cur, "post")
+		four := 4
+		in.Put(&four)
+		l.Schedule(0, g, 8)
+	})
+	g.want(t, "post")
+	g.want(t, "timer8")
+	g.want(t, "msg4")
+}
+
+// The seam costs a call: a loop with an end-of-turn func registered
+// still runs its messages and timers without allocating.
+func TestEndOfTurnZeroAlloc(t *testing.T) {
+	l := NewLoop()
+	var calls atomic.Int64
+	l.OnTurnEnd(func() { calls.Add(1) })
+	msgs, timers := inboxRound(l), scheduleRound(l)
+	go l.Run()
+	t.Cleanup(l.Stop)
+	round := func() { msgs(); timers() }
+	round()
+	if a := testing.AllocsPerRun(50, round); a != 0 {
+		t.Fatalf("%.2f allocations per round with an end-of-turn func, want 0", a)
+	}
+	if calls.Load() == 0 {
+		t.Fatal("the end-of-turn func never ran")
+	}
 }

@@ -7,7 +7,9 @@
 // Every node of the live deployment (internal/node) owns one Loop. All
 // component state is touched only from the loop goroutine; network
 // receive goroutines hand messages in through an Inbox, and one-off
-// calls (a metrics scrape, start-up) through Post. Each Loop's clock
+// calls (a metrics scrape, start-up) through Post. A node that gathers
+// what a turn produced and sends it together registers one end-of-turn
+// func (OnTurnEnd). Each Loop's clock
 // starts at its own construction instant, so two nodes' clocks are
 // genuinely unsynchronized — exactly the regime DBO is designed for.
 package rt
@@ -28,6 +30,7 @@ type Loop struct {
 	timers sim.Queue // the kernel's queue: (at, push order), so equal deadlines fire in At order
 	msgs   []func()
 	boxes  []inbox // every Inbox made for this loop, in NewInbox order
+	end    func()  // OnTurnEnd's func, nil if none
 	wake   chan struct{}
 	done   chan struct{}
 	once   sync.Once
@@ -69,6 +72,19 @@ func (l *Loop) Post(fn func()) {
 	l.kick()
 }
 
+// OnTurnEnd registers the loop's one end-of-turn func; register it
+// before Run, like an inbox. Run calls fn on the loop goroutine twice a
+// turn: once the posted messages and inboxes are drained, and again
+// once the due timers have fired — both produce work, and a timer-only
+// turn (a maintenance tick) must not wait for the next message. It
+// costs a nil check when none is registered and, unlike a self-armed
+// zero-delay timer, no lock, heap push or wake per turn.
+func (l *Loop) OnTurnEnd(fn func()) {
+	l.mu.Lock()
+	l.end = fn
+	l.mu.Unlock()
+}
+
 func (l *Loop) kick() {
 	select {
 	case l.wake <- struct{}{}:
@@ -93,7 +109,7 @@ func (l *Loop) Run() {
 		// Drain posted messages and inboxes first.
 		l.mu.Lock()
 		msgs, l.msgs = l.msgs, msgs[:0]
-		boxes := l.boxes
+		boxes, end := l.boxes, l.end
 		for _, b := range boxes {
 			b.swap()
 		}
@@ -104,6 +120,9 @@ func (l *Loop) Run() {
 		}
 		for _, b := range boxes {
 			b.drain()
+		}
+		if end != nil {
+			end()
 		}
 
 		// Run due timers and find the next deadline.
@@ -125,6 +144,9 @@ func (l *Loop) Run() {
 		for i := range due {
 			due[i].Fire()
 			due[i] = sim.Event{}
+		}
+		if len(due) > 0 && end != nil {
+			end()
 		}
 		if len(due) > 0 || pending {
 			continue // new work may have been created; re-evaluate

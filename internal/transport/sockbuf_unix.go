@@ -7,7 +7,13 @@ import "syscall"
 // RcvBuf reports the socket's effective receive buffer in bytes — what
 // the kernel granted of the size Listen asked for — or 0 if it cannot
 // be read.
-func (e *Endpoint) RcvBuf() int64 {
+func (e *Endpoint) RcvBuf() int64 { return e.sockBuf(syscall.SO_RCVBUF) }
+
+// SndBuf reports the socket's send buffer in bytes, the kernel's
+// default (Listen does not set it), or 0 if it cannot be read.
+func (e *Endpoint) SndBuf() int64 { return e.sockBuf(syscall.SO_SNDBUF) }
+
+func (e *Endpoint) sockBuf(opt int) int64 {
 	rc, err := e.conn.SyscallConn()
 	if err != nil {
 		return 0
@@ -15,7 +21,7 @@ func (e *Endpoint) RcvBuf() int64 {
 	var n int
 	var optErr error
 	err = rc.Control(func(fd uintptr) {
-		n, optErr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+		n, optErr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, opt)
 	})
 	if err != nil || optErr != nil {
 		return 0

@@ -1,7 +1,15 @@
 // Package transport provides the UDP endpoints of the live deployment:
 // one socket per node, wire-encoded datagrams, and a receive loop that
 // hands decoded messages to a handler. The typed calls (ServeMsg,
-// Write) are the live path; Serve and Send are their boxed forms.
+// Write, WriteSegments) are the live path; Serve and Send are the boxed
+// forms of the first two.
+//
+// Write is one datagram and one trip down the kernel's stack.
+// WriteSegments is a run of equal-size records to one destination in
+// one trip: on Linux a single sendmsg the kernel cuts into one datagram
+// per record (UDP_SEGMENT), so receivers read exactly what a loop over
+// Write would have sent them; elsewhere, or once the kernel has refused
+// such a send, it is that loop.
 //
 // UDP matches the paper's deployment ("the UDP stream of market data
 // from the CES", §6.3); loss and reordering are handled one layer up
@@ -28,9 +36,21 @@ type Endpoint struct {
 
 	closed atomic.Bool
 
-	// Counters (atomic; read with Stats).
-	sent, received, decodeErrs atomic.Int64
+	// oob is WriteSegments' control message, built by Listen; its size
+	// field is rewritten by each segmented send. gsoOff latches once the
+	// platform or the kernel has said no to one.
+	oob    []byte
+	gsoOff atomic.Bool
+
+	// Counters (atomic; read with Stats and Writes). sent counts
+	// datagrams; saved counts those that did not cost a syscall of their
+	// own (k-1 of a segmented send of k).
+	sent, saved, received, decodeErrs atomic.Int64
 }
+
+// MaxSegments is the most datagrams one WriteSegments call may carry
+// (UDP_MAX_SEGMENTS in the kernels that introduced UDP_SEGMENT).
+const MaxSegments = 64
 
 // rcvBuf is the receive buffer every endpoint asks for. The default
 // holds ~256 small datagrams, which a saturated exchange overflows
@@ -52,7 +72,9 @@ func Listen(addr string) (*Endpoint, error) {
 	if err := conn.SetReadBuffer(rcvBuf); err != nil {
 		return nil, errors.Join(fmt.Errorf("transport: receive buffer of %q: %w", addr, err), conn.Close())
 	}
-	return &Endpoint{conn: conn, buf: make([]byte, 0, wire.MaxSize)}, nil
+	e := &Endpoint{conn: conn, buf: make([]byte, 0, wire.MaxSize), oob: segmentOOB()}
+	e.gsoOff.Store(e.oob == nil)
+	return e, nil
 }
 
 // LocalAddr returns the bound address.
@@ -67,6 +89,42 @@ func (e *Endpoint) Write(b []byte, to netip.AddrPort) error {
 	}
 	e.sent.Add(1)
 	return nil
+}
+
+// WriteSegments transmits b to the destination as consecutive datagrams
+// of seg bytes each (a shorter last one if len(b) is not a multiple):
+// what a loop over Write would put on the wire, and on Linux one
+// syscall and one trip down the stack for all of them. More than
+// MaxSegments segments is an error; one segment is a plain Write.
+//
+// If the kernel refuses a segmented send, for any reason (more than
+// 65507 bytes in one call is one), the same bytes are resent datagram
+// by datagram — nothing is lost that Write would have delivered — and
+// the endpoint stops segmenting for good (GSODisabled). Unlike Write it
+// is for one goroutine at a time: the control message is the endpoint's
+// own.
+func (e *Endpoint) WriteSegments(b []byte, seg int, to netip.AddrPort) error {
+	if seg <= 0 || len(b) > MaxSegments*seg {
+		return fmt.Errorf("transport: %d bytes in segments of %d: want 1 to %d segments", len(b), seg, MaxSegments)
+	}
+	if len(b) > seg && !e.gsoOff.Load() {
+		if err := e.writeSegmented(b, seg, to); err == nil {
+			k := int64((len(b) + seg - 1) / seg)
+			e.sent.Add(k)
+			e.saved.Add(k - 1)
+			return nil
+		}
+		e.gsoOff.Store(true)
+	}
+	var first error
+	for len(b) > 0 {
+		n := min(seg, len(b))
+		if err := e.Write(b[:n], to); err != nil && first == nil {
+			first = err
+		}
+		b = b[n:]
+	}
+	return first
 }
 
 // Send wire-encodes v and transmits it to the destination: the boxed
@@ -124,6 +182,20 @@ func (e *Endpoint) Serve(h Handler) error {
 // Stats reports (sent, received, decode errors).
 func (e *Endpoint) Stats() (sent, received, decodeErrs int64) {
 	return e.sent.Load(), e.received.Load(), e.decodeErrs.Load()
+}
+
+// Writes reports the syscalls that carried the sent datagrams: equal to
+// sent unless WriteSegments put several in one.
+func (e *Endpoint) Writes() int64 { return e.sent.Load() - e.saved.Load() }
+
+// GSODisabled reports 1 if WriteSegments is a loop over Write on this
+// endpoint — the platform has no UDP segmentation offload, or the kernel
+// refused a segmented send — and 0 while it segments.
+func (e *Endpoint) GSODisabled() int64 {
+	if e.gsoOff.Load() {
+		return 1
+	}
+	return 0
 }
 
 // Close shuts the socket down, unblocking Serve.
