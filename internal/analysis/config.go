@@ -168,10 +168,13 @@ func Default() *Config {
 			// the retained trade. The end-of-turn egress flush is a
 			// stored func the call graph does not follow from Loop.Run,
 			// so it is a root of its own, as is the segmented send under
-			// it (probes: TestEndOfTurnZeroAlloc, TestWriteSegments).
+			// it (probes: TestEndOfTurnZeroAlloc, TestWriteSegments). The
+			// loop sets its alarm before every sleep that needs it
+			// (probe: TestArmZeroAlloc).
 			{Pkg: "internal/rt", Func: "(Inbox[T]).Put"},
 			{Pkg: "internal/rt", Func: "(Inbox[T]).drain"},
 			{Pkg: "internal/rt", Func: "(Loop).Schedule"},
+			{Pkg: "internal/rt", Func: "(alarm).arm"},
 			{Pkg: "internal/transport", Func: "(Endpoint).Write"},
 			{Pkg: "internal/transport", Func: "(Endpoint).WriteSegments"},
 			{Pkg: "internal/node", Func: "(CES).flush"},

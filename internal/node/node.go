@@ -97,6 +97,42 @@ func registerSocket(reg *metrics.Registry, ep *transport.Endpoint) {
 	reg.Func("udp_rx_dropped", ep.Dropped)
 }
 
+// registerLoop exports how punctually a node's loop is woken for its
+// timers: each one's lateness, which kind of alarm wakes it, and how
+// often that alarm is set. The histogram is resolved once, like
+// cesMetrics.
+func registerLoop(reg *metrics.Registry, l *rt.Loop) {
+	late := reg.Histogram("timer_late_ns")
+	l.OnLate(func(by sim.Time) { late.Observe(int64(by)) })
+	reg.Func("timer_precise", func() int64 {
+		if l.Precise() {
+			return 1
+		}
+		return 0
+	})
+	reg.Func("alarm_arms", l.Arms)
+}
+
+// ask evaluates fn on l's goroutine and returns its result, or -1: at
+// once if the loop has stopped, after a second if it is wedged (a scrape
+// must never hang).
+func ask[T int | int64](l *rt.Loop, fn func() T) T {
+	select {
+	case <-l.Done():
+		return -1 // checked first: a last turn may still answer, and select would pick either
+	default:
+	}
+	ch := make(chan T, 1)
+	l.Post(func() { ch <- fn() })
+	select {
+	case n := <-ch:
+		return n
+	case <-l.Done(): // stopped while waiting
+	case <-time.After(time.Second):
+	}
+	return -1
+}
+
 // MPAddr names one market participant's release-buffer endpoint.
 type MPAddr struct {
 	ID   market.ParticipantID
@@ -270,6 +306,7 @@ func NewCES(cfg CESConfig) (*CES, error) {
 		response: c.reg.Histogram("response_ns"),
 	}
 	registerSocket(c.reg, ep)
+	registerLoop(c.reg, c.loop)
 	c.reg.Func("gso_disabled", ep.GSODisabled)
 	cfg.Flight.SetNode(market.NodeCES)
 	if cfg.Flight != nil {
@@ -360,10 +397,10 @@ func (c *CES) Start(mps []MPAddr) error {
 
 	c.reg.Func("ob_queued", func() int64 { return int64(c.Queued()) })
 	c.reg.Func("stragglers", func() int64 {
-		return c.askLoop(func() int64 { return int64(len(c.ob.Stragglers())) })
+		return ask(c.loop, func() int64 { return int64(len(c.ob.Stragglers())) })
 	})
 	c.reg.Func("batches_delivered_min", func() int64 {
-		return c.askLoop(func() int64 {
+		return ask(c.loop, func() int64 {
 			// Coarse progress gauge: the lowest watermark point across
 			// participants — how far the slowest MP has provably gotten.
 			min := int64(-1)
@@ -384,7 +421,7 @@ func (c *CES) Start(mps []MPAddr) error {
 		// Watermark lag: newest generated point minus the participant's
 		// watermark point — how far behind the gate this MP's reports are.
 		c.reg.Func(fmt.Sprintf("wm_lag_points_mp_%d", p), func() int64 {
-			return c.askLoop(func() int64 {
+			return ask(c.loop, func() int64 {
 				wm, ok := c.ob.Watermark(p)
 				if !ok {
 					return -1
@@ -414,7 +451,7 @@ func (c *CES) Start(mps []MPAddr) error {
 	}
 	if c.policy != nil {
 		c.reg.Func("adaptive_threshold_ns", func() int64 {
-			return c.askLoop(func() int64 { return int64(c.policy.Threshold(c.loop.Now())) })
+			return ask(c.loop, func() int64 { return int64(c.policy.Threshold(c.loop.Now())) })
 		})
 	}
 	return nil
@@ -453,25 +490,17 @@ func (c *CES) scheduleProbes() {
 // granted — socket_sndbuf_bytes — its send buffer, read and never set —
 // udp_rx_dropped — datagrams it dropped at the socket — and
 // gso_disabled — 1 once the egress queues go out one syscall per record
-// because the platform or the kernel refused a segmented send, else 0),
-// and histograms
-// (ob_hold_ns, response_ns, hb_staleness_ns, probe_rtt_ns). Mount
+// because the platform or the kernel refused a segmented send, else 0;
+// timer_precise — 1 when the loop is woken for its timers by a timerfd,
+// 0 when by a runtime timer, up to a millisecond late on an idle process
+// — and alarm_arms — the times that alarm has been set, a system call
+// each when timer_precise; the loop-served gauges read -1 once the node
+// has stopped), and histograms
+// (ob_hold_ns, response_ns, hb_staleness_ns, probe_rtt_ns, and
+// timer_late_ns — how far past its deadline each loop timer fired). Mount
 // Metrics().Handler() (JSON) or Metrics().PromHandler() (Prometheus
 // text) on any HTTP mux.
 func (c *CES) Metrics() *metrics.Registry { return c.reg }
-
-// askLoop evaluates fn on the event loop and returns its result, or -1
-// if the loop is wedged for a second (a scrape must never hang).
-func (c *CES) askLoop(fn func() int64) int64 {
-	ch := make(chan int64, 1)
-	c.loop.Post(func() { ch <- fn() })
-	select {
-	case n := <-ch:
-		return n
-	case <-time.After(time.Second):
-		return -1
-	}
-}
 
 // StartCES is the one-shot variant of NewCES + Start for configurations
 // whose participant addresses are known upfront.
@@ -809,19 +838,10 @@ func (c *CES) Executions() int {
 	return c.execs
 }
 
-// Queued reports trades currently held in the ordering buffer. Only
-// meaningful once the node has quiesced (call from tests after Stop is
-// not safe; use while running for monitoring).
-func (c *CES) Queued() int {
-	ch := make(chan int, 1)
-	c.loop.Post(func() { ch <- c.ob.Queued() })
-	select {
-	case n := <-ch:
-		return n
-	case <-time.After(time.Second):
-		return -1
-	}
-}
+// Queued reports trades currently held in the ordering buffer, read on
+// the loop; -1 once the node has stopped. Only meaningful once the node
+// has quiesced.
+func (c *CES) Queued() int { return ask(c.loop, c.ob.Queued) }
 
 // Strategy decides how an MP reacts to a delivered market data point:
 // whether to trade, after what response time, and with what order.
@@ -947,6 +967,7 @@ func StartMP(cfg MPConfig) (*MP, error) {
 		response: m.reg.Histogram("response_ns"),
 	}
 	registerSocket(m.reg, ep)
+	registerLoop(m.reg, m.loop)
 	cfg.Flight.SetNode(market.NodeOfMP(cfg.ID))
 	if cfg.Flight != nil {
 		m.reg.Func("flight_ring_dropped", cfg.Flight.Dropped)
@@ -985,9 +1006,11 @@ func (m *MP) Addr() *net.UDPAddr { return m.ep.LocalAddr() }
 // Metrics exposes the participant's operational registry: counters
 // (batches_delivered, trades_submitted, fills, probes_reflected,
 // data_rejected), the socket gauges socket_rcvbuf_bytes,
-// socket_sndbuf_bytes and udp_rx_dropped, and histograms
-// (delivery_gap_ns — inter-batch pacing on this node's clock — and
-// response_ns). Mount Metrics().Handler() or .PromHandler() to scrape.
+// socket_sndbuf_bytes and udp_rx_dropped, the loop's timer_precise and
+// alarm_arms (see CES.Metrics), and histograms
+// (delivery_gap_ns — inter-batch pacing on this node's clock —
+// response_ns and timer_late_ns). Mount Metrics().Handler() or
+// .PromHandler() to scrape.
 func (m *MP) Metrics() *metrics.Registry { return m.reg }
 
 // Stop shuts the node down.
@@ -1063,17 +1086,8 @@ func (m *MP) onMessage(msg *wire.Msg) {
 
 // Fills reports execution reports received so far (loop-external reads
 // race with updates only in the benign monotone-counter sense, so the
-// value is served through the loop).
-func (m *MP) Fills() int {
-	ch := make(chan int, 1)
-	m.loop.Post(func() { ch <- m.fills })
-	select {
-	case n := <-ch:
-		return n
-	case <-time.After(time.Second):
-		return -1
-	}
-}
+// value is served through the loop); -1 once the node has stopped.
+func (m *MP) Fills() int { return ask(m.loop, func() int { return m.fills }) }
 
 // onBatch runs the participant's strategy against each delivered point.
 func (m *MP) onBatch(b *market.Batch) {

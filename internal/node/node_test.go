@@ -462,6 +462,37 @@ func TestMetricsRegistryAndHTTPScrape(t *testing.T) {
 	if snap["stragglers"] != 0 {
 		t.Errorf("stragglers = %d", snap["stragglers"])
 	}
+	// The loop's own rows: its timers have fired, so the alarm has been
+	// set and their lateness observed.
+	if _, ok := snap["timer_precise"]; !ok {
+		t.Error("timer_precise func metric missing")
+	}
+	if snap["alarm_arms"] == 0 || snap["timer_late_ns_count"] == 0 {
+		t.Errorf("alarm_arms = %d, timer_late_ns_count = %d after four ticks", snap["alarm_arms"], snap["timer_late_ns_count"])
+	}
+}
+
+// A stopped node's loop runs nothing it is posted: the gauges it served
+// read -1 at once, they do not each wait out the wedged-loop second.
+func TestScrapeAfterStopReturnsAtOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live cluster test needs real time")
+	}
+	ces, mps := startCluster(t, 1, 2)
+	waitForward(t, ces, 2, 10*time.Second)
+	ces.Stop()
+	mps[0].Stop()
+
+	start := time.Now()
+	snap := ces.Metrics().Snapshot()
+	fills, queued := mps[0].Fills(), ces.Queued()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("a scrape, Fills and Queued after Stop took %v", took)
+	}
+	if snap["stragglers"] != -1 || snap["ob_queued"] != -1 || fills != -1 || queued != -1 {
+		t.Errorf("after Stop: stragglers %d, ob_queued %d, Fills %d, Queued %d, want -1 each",
+			snap["stragglers"], snap["ob_queued"], fills, queued)
+	}
 }
 
 // TestLiveClusterAllocBudget holds the whole live loop — CES tick and

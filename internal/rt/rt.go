@@ -12,10 +12,15 @@
 // func (OnTurnEnd). Each Loop's clock
 // starts at its own construction instant, so two nodes' clocks are
 // genuinely unsynchronized — exactly the regime DBO is designed for.
+//
+// A sleeping loop is woken at its next deadline by an alarm (alarm.go):
+// on Linux a timerfd, tens of microseconds late; elsewhere a runtime
+// timer, up to a millisecond late on an idle process (Precise, OnLate).
 package rt
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dbo/internal/sim"
@@ -29,11 +34,15 @@ type Loop struct {
 	mu     sync.Mutex
 	timers sim.Queue // the kernel's queue: (at, push order), so equal deadlines fire in At order
 	msgs   []func()
-	boxes  []inbox // every Inbox made for this loop, in NewInbox order
-	end    func()  // OnTurnEnd's func, nil if none
+	boxes  []inbox        // every Inbox made for this loop, in NewInbox order
+	end    func()         // OnTurnEnd's func, nil if none
+	late   func(sim.Time) // OnLate's func, nil if none
 	wake   chan struct{}
 	done   chan struct{}
 	once   sync.Once
+
+	precise atomic.Bool  // Run's alarm is a timerfd
+	arms    atomic.Int64 // times Run's alarm has been set
 }
 
 // NewLoop returns a loop whose clock starts now.
@@ -49,12 +58,13 @@ func NewLoop() *Loop {
 func (l *Loop) Now() sim.Time { return sim.Time(time.Since(l.start)) }
 
 // Schedule queues h.Fire(arg) on the loop at local time t (clamped to
-// now if in the past — wall clocks move while callers compute). A
+// now if in the past — wall clocks move while callers compute — so a
+// timer's lateness is counted from when it could first have fired). A
 // component that is the Handler of its own timers schedules without a
 // closure. Safe from any goroutine.
 func (l *Loop) Schedule(t sim.Time, h sim.Handler, arg int) {
 	l.mu.Lock()
-	l.timers.Push(t, h, arg)
+	l.timers.Push(max(t, l.Now()), h, arg)
 	l.mu.Unlock()
 	l.kick()
 }
@@ -85,6 +95,23 @@ func (l *Loop) OnTurnEnd(fn func()) {
 	l.mu.Unlock()
 }
 
+// OnLate registers the loop's one lateness observer; register it before
+// Run. Run calls fn on the loop goroutine just before each due timer
+// fires, with how far past its deadline the turn that fires it began.
+func (l *Loop) OnLate(fn func(late sim.Time)) {
+	l.mu.Lock()
+	l.late = fn
+	l.mu.Unlock()
+}
+
+// Precise reports whether the running loop is woken for its timers by a
+// timerfd and not by a runtime timer (alarm.go). False before Run.
+func (l *Loop) Precise() bool { return l.precise.Load() }
+
+// Arms counts the times Run has set its alarm: one system call each
+// when Precise.
+func (l *Loop) Arms() int64 { return l.arms.Load() }
+
 func (l *Loop) kick() {
 	select {
 	case l.wake <- struct{}{}:
@@ -95,11 +122,15 @@ func (l *Loop) kick() {
 // Stop terminates Run. Idempotent.
 func (l *Loop) Stop() { l.once.Do(func() { close(l.done) }) }
 
+// Done is closed by Stop: whoever waits for the loop to answer selects
+// on it too, since a stopped loop runs nothing it is posted.
+func (l *Loop) Done() <-chan struct{} { return l.done }
+
 // Run dispatches messages and timers until Stop. It owns the calling
 // goroutine.
 func (l *Loop) Run() {
-	tm := time.NewTimer(time.Hour)
-	defer tm.Stop()
+	al := newAlarm(l)
+	defer al.close()
 	// Posted messages, inbox contents and due timers are each swapped out
 	// under the lock and run outside it. The buffers they are swapped
 	// into belong to this goroutine and are re-used every iteration.
@@ -109,7 +140,7 @@ func (l *Loop) Run() {
 		// Drain posted messages and inboxes first.
 		l.mu.Lock()
 		msgs, l.msgs = l.msgs, msgs[:0]
-		boxes, end := l.boxes, l.end
+		boxes, end, late := l.boxes, l.end, l.late
 		for _, b := range boxes {
 			b.swap()
 		}
@@ -132,9 +163,9 @@ func (l *Loop) Run() {
 		for l.timers.Len() > 0 && l.timers.MinAt() <= now {
 			due = append(due, l.timers.Pop())
 		}
-		var wait time.Duration = time.Hour
+		next := now + sim.Time(time.Hour)
 		if l.timers.Len() > 0 {
-			wait = time.Duration(l.timers.MinAt() - now)
+			next = l.timers.MinAt()
 		}
 		pending := len(l.msgs) > 0
 		for _, b := range l.boxes {
@@ -142,6 +173,9 @@ func (l *Loop) Run() {
 		}
 		l.mu.Unlock()
 		for i := range due {
+			if late != nil {
+				late(now - due[i].At)
+			}
 			due[i].Fire()
 			due[i] = sim.Event{}
 		}
@@ -152,18 +186,11 @@ func (l *Loop) Run() {
 			continue // new work may have been created; re-evaluate
 		}
 
-		if !tm.Stop() {
-			select {
-			case <-tm.C:
-			default:
-			}
-		}
-		tm.Reset(wait)
+		al.arm(now, next)
 		select {
 		case <-l.done:
 			return
 		case <-l.wake:
-		case <-tm.C:
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -199,5 +200,34 @@ func TestHandlersSingleThreaded(t *testing.T) {
 	}
 	if violations.Load() > 0 {
 		t.Fatalf("%d concurrent handler executions", violations.Load())
+	}
+}
+
+// A deadline already past is moved up to the moment of the call, so the
+// lateness the loop reports for it is how long it waited to fire and
+// not how long ago the caller's arithmetic started.
+func TestScheduleInThePastClampsToNow(t *testing.T) {
+	l := NewLoop()
+	time.Sleep(5 * time.Millisecond) // the clock is well past 0
+	late := make(chan sim.Time, 2)
+	l.OnLate(func(by sim.Time) { late <- by })
+	var order []int
+	done := make(chan struct{})
+	l.At(0, func() { order = append(order, 1) })
+	l.At(-1, func() { order = append(order, 2); close(done) }) // equal once clamped: push order
+	go l.Run()
+	t.Cleanup(l.Stop)
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("past timers never ran")
+	}
+	if !slices.Equal(order, []int{1, 2}) {
+		t.Fatalf("order = %v, want [1 2]", order)
+	}
+	for i := 0; i < 2; i++ {
+		if by := <-late; by < 0 || by >= sim.FromDuration(5*time.Millisecond) {
+			t.Fatalf("timer %d scheduled at a past instant reported %v late: its deadline was not moved to the call", i, by)
+		}
 	}
 }
