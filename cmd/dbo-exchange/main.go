@@ -9,10 +9,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -25,20 +28,34 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:7000", "UDP listen address")
-	mps := flag.String("mps", "", "comma-separated id=host:port participant endpoints")
-	tick := flag.Duration("tick", time.Millisecond, "market data interval")
-	ticks := flag.Int("ticks", 1000, "number of data points to generate")
-	delta := flag.Duration("delta", 500*time.Microsecond, "δ pacing gap")
-	kappa := flag.Float64("kappa", 0.25, "κ batching gain")
-	tau := flag.Duration("tau", 500*time.Microsecond, "τ heartbeat/maintenance period")
-	straggler := flag.Duration("straggler", 0, "straggler RTT threshold (0 = off)")
-	httpAddr := flag.String("http", "", "serve /metrics, /metrics/prom, /debug/flight and /debug/audit here")
-	flightOut := flag.String("flight", "", "write the flight trace to this NDJSON file on exit")
-	flightBuf := flag.Int("flight-buf", 0, "flight recorder ring capacity (0 = default)")
-	pprofOn := flag.Bool("pprof", false, "also serve /debug/pprof/ and Go runtime gauges on -http")
-	rttDir := flag.String("rtt-dir", "", "capture per-MP probe RTTs and write replayable CSV traces here on exit (implies probing at τ)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the command: exit 2 for bad arguments, 1 for a failure, 0
+// once the exchange has run its ticks and a drain period, or ctx has
+// ended, and reported.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dbo-exchange", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listen := fs.String("listen", "127.0.0.1:7000", "UDP listen address")
+	mps := fs.String("mps", "", "comma-separated id=host:port participant endpoints")
+	tick := fs.Duration("tick", time.Millisecond, "market data interval")
+	ticks := fs.Int("ticks", 1000, "number of data points to generate")
+	delta := fs.Duration("delta", 500*time.Microsecond, "δ pacing gap")
+	kappa := fs.Float64("kappa", 0.25, "κ batching gain")
+	tau := fs.Duration("tau", 500*time.Microsecond, "τ heartbeat/maintenance period")
+	straggler := fs.Duration("straggler", 0, "straggler RTT threshold (0 = off)")
+	httpAddr := fs.String("http", "", "serve /metrics, /metrics/prom, /debug/flight and /debug/audit here")
+	flightOut := fs.String("flight", "", "write the flight trace to this NDJSON file on exit")
+	flightBuf := fs.Int("flight-buf", 0, "flight recorder ring capacity (0 = default)")
+	pprofOn := fs.Bool("pprof", false, "also serve /debug/pprof/ and Go runtime gauges on -http")
+	rttDir := fs.String("rtt-dir", "", "capture per-MP probe RTTs and write replayable CSV traces here on exit (implies probing at τ)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var addrs []dbo.ParticipantAddr
 	for _, part := range strings.Split(*mps, ",") {
@@ -47,19 +64,23 @@ func main() {
 		}
 		id, addr, ok := strings.Cut(part, "=")
 		if !ok {
-			fmt.Fprintf(os.Stderr, "bad -mps entry %q (want id=host:port)\n", part)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bad -mps entry %q (want id=host:port)\n", part)
+			return 2
 		}
 		n, err := strconv.Atoi(id)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad participant id %q: %v\n", id, err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bad participant id %q: %v\n", id, err)
+			return 2
 		}
 		addrs = append(addrs, dbo.ParticipantAddr{ID: dbo.ParticipantID(n), Addr: addr})
 	}
 	if len(addrs) == 0 {
-		fmt.Fprintln(os.Stderr, "no participants: pass -mps 1=host:port,...")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "no participants: pass -mps 1=host:port,...")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	var rec *dbo.FlightRecorder
@@ -85,8 +106,7 @@ func main() {
 	}
 	ex, err := dbo.NewExchange(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	auditor.Register(ex.Metrics())
 	if *httpAddr != "" {
@@ -101,54 +121,51 @@ func main() {
 		}
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "http:", err)
+				fmt.Fprintln(stderr, "http:", err)
 			}
 		}()
-		fmt.Printf("serving /metrics, /debug/flight and /debug/audit on %s\n", *httpAddr)
+		fmt.Fprintf(stdout, "serving /metrics, /debug/flight and /debug/audit on %s\n", *httpAddr)
 	}
-	fmt.Printf("CES listening on %s (udp) / %s (tcp reverse path), %d participants, %d ticks every %v\n",
+	fmt.Fprintf(stdout, "CES listening on %s (udp) / %s (tcp reverse path), %d participants, %d ticks every %v\n",
 		ex.Addr(), ex.TCPAddr(), len(addrs), *ticks, *tick)
 	if err := ex.Start(addrs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer ex.Stop()
 
 	// Run until data generation plus a drain period has elapsed, then
 	// report.
-	total := time.Duration(*ticks)**tick + time.Second
-	time.Sleep(total)
+	select {
+	case <-time.After(time.Duration(*ticks)**tick + time.Second):
+	case <-ctx.Done():
+	}
 	trades := ex.Forwarded()
-	fmt.Printf("forwarded %d trades to the matching engine, %d executions\n",
+	fmt.Fprintf(stdout, "forwarded %d trades to the matching engine, %d executions\n",
 		len(trades), ex.Executions())
 	perMP := map[dbo.ParticipantID]int{}
 	for _, t := range trades {
 		perMP[t.MP]++
 	}
 	for _, a := range addrs {
-		fmt.Printf("  MP %d: %d trades\n", a.ID, perMP[a.ID])
+		fmt.Fprintf(stdout, "  MP %d: %d trades\n", a.ID, perMP[a.ID])
 	}
 	if *flightOut != "" {
 		f, err := os.Create(*flightOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		events := rec.Snapshot()
 		if err := flight.Write(f, events); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Printf("flight: %d events to %s (%d dropped)\n", len(events), *flightOut, rec.Dropped())
+		fmt.Fprintf(stdout, "flight: %d events to %s (%d dropped)\n", len(events), *flightOut, rec.Dropped())
 	}
 	if *rttDir != "" {
 		if err := os.MkdirAll(*rttDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		for _, a := range addrs {
 			tr := ex.RTTTrace(a.ID)
@@ -158,20 +175,18 @@ func main() {
 			path := filepath.Join(*rttDir, fmt.Sprintf("rtt-mp%d.csv", a.ID))
 			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(err)
 			}
 			if err := tr.WriteCSV(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(err)
 			}
-			fmt.Printf("rtt: %d samples to %s (replay with dbo-sim -trace)\n", len(tr.RTT), path)
+			fmt.Fprintf(stdout, "rtt: %d samples to %s (replay with dbo-sim -trace)\n", len(tr.RTT), path)
 		}
 	}
 	s := auditor.Stats()
-	fmt.Printf("audit: fairness %.4f over %d pairs (%d unfair)\n", s.Fairness, s.Pairs, s.UnfairPairs)
+	fmt.Fprintf(stdout, "audit: fairness %.4f over %d pairs (%d unfair)\n", s.Fairness, s.Pairs, s.UnfairPairs)
+	return 0
 }

@@ -8,8 +8,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"os"
@@ -23,21 +25,34 @@ import (
 )
 
 func main() {
-	id := flag.Int("id", 1, "participant id")
-	listen := flag.String("listen", "127.0.0.1:7001", "RB ingress UDP address")
-	ces := flag.String("ces", "127.0.0.1:7000", "exchange UDP address")
-	cesTCP := flag.String("ces-tcp", "", "exchange TCP address (use the reliable reverse path)")
-	delta := flag.Duration("delta", 500*time.Microsecond, "δ pacing gap (must match the CES)")
-	tau := flag.Duration("tau", 500*time.Microsecond, "τ heartbeat period")
-	rt := flag.Duration("rt", 200*time.Microsecond, "base response time")
-	jitter := flag.Duration("jitter", 100*time.Microsecond, "uniform response jitter")
-	prob := flag.Float64("prob", 1.0, "probability of trading per data point")
-	seed := flag.Uint64("seed", 0, "strategy seed (0 = participant id)")
-	httpAddr := flag.String("http", "", "serve /metrics, /metrics/prom, /debug/flight and /debug/audit here")
-	flightBuf := flag.Int("flight-buf", 0, "flight recorder ring capacity (0 = default)")
-	pprofOn := flag.Bool("pprof", false, "also serve /debug/pprof/ and Go runtime gauges on -http")
-	slack := flag.Duration("audit-slack", 50*time.Microsecond, "δ-gap audit slack (absorbs scheduler jitter on live nodes)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the command: exit 2 for bad arguments, 1 for a failure, 0
+// once ctx has ended (an interrupt) and the participant has stopped.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dbo-mp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	id := fs.Int("id", 1, "participant id")
+	listen := fs.String("listen", "127.0.0.1:7001", "RB ingress UDP address")
+	ces := fs.String("ces", "127.0.0.1:7000", "exchange UDP address")
+	cesTCP := fs.String("ces-tcp", "", "exchange TCP address (use the reliable reverse path)")
+	delta := fs.Duration("delta", 500*time.Microsecond, "δ pacing gap (must match the CES)")
+	tau := fs.Duration("tau", 500*time.Microsecond, "τ heartbeat period")
+	rt := fs.Duration("rt", 200*time.Microsecond, "base response time")
+	jitter := fs.Duration("jitter", 100*time.Microsecond, "uniform response jitter")
+	prob := fs.Float64("prob", 1.0, "probability of trading per data point")
+	seed := fs.Uint64("seed", 0, "strategy seed (0 = participant id)")
+	httpAddr := fs.String("http", "", "serve /metrics, /metrics/prom, /debug/flight and /debug/audit here")
+	flightBuf := fs.Int("flight-buf", 0, "flight recorder ring capacity (0 = default)")
+	pprofOn := fs.Bool("pprof", false, "also serve /debug/pprof/ and Go runtime gauges on -http")
+	slack := fs.Duration("audit-slack", 50*time.Microsecond, "δ-gap audit slack (absorbs scheduler jitter on live nodes)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *seed == 0 {
 		*seed = uint64(*id)
@@ -77,8 +92,8 @@ func main() {
 		Auditor:  auditor,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer mp.Stop()
 	auditor.Register(mp.Metrics())
@@ -94,16 +109,15 @@ func main() {
 		}
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "http:", err)
+				fmt.Fprintln(stderr, "http:", err)
 			}
 		}()
-		fmt.Printf("serving /metrics, /debug/flight and /debug/audit on %s\n", *httpAddr)
+		fmt.Fprintf(stdout, "serving /metrics, /debug/flight and /debug/audit on %s\n", *httpAddr)
 	}
-	fmt.Printf("MP %d listening on %s, trading towards %s (rt %v±%v)\n",
+	fmt.Fprintf(stdout, "MP %d listening on %s, trading towards %s (rt %v±%v)\n",
 		*id, mp.Addr(), *ces, *rt, *jitter)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-	fmt.Println("shutting down")
+	<-ctx.Done()
+	fmt.Fprintln(stdout, "shutting down")
+	return 0
 }

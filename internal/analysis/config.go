@@ -168,13 +168,17 @@ func Default() *Config {
 			// the retained trade. The end-of-turn egress flush is a
 			// stored func the call graph does not follow from Loop.Run,
 			// so it is a root of its own, as is the segmented send under
-			// it (probes: TestEndOfTurnZeroAlloc, TestWriteSegments). The
-			// loop sets its alarm before every sleep that needs it
-			// (probe: TestArmZeroAlloc).
+			// it (probes: TestEndOfTurnZeroAlloc, TestWriteSegments), and
+			// so is the loop's own read of its socket, Drain's callback
+			// (TestDrainZeroAlloc). The loop sets its alarm and waits
+			// before every sleep (TestArmZeroAlloc).
 			{Pkg: "internal/rt", Func: "(Inbox[T]).Put"},
 			{Pkg: "internal/rt", Func: "(Inbox[T]).drain"},
 			{Pkg: "internal/rt", Func: "(Loop).Schedule"},
-			{Pkg: "internal/rt", Func: "(alarm).arm"},
+			{Pkg: "internal/rt", Func: "(Loop).arm"},
+			{Pkg: "internal/rt", Func: "(Loop).wait"},
+			{Pkg: "internal/transport", Func: "(Endpoint).Drain"},
+			{Pkg: "internal/transport", Func: "(Endpoint).drain"},
 			{Pkg: "internal/transport", Func: "(Endpoint).Write"},
 			{Pkg: "internal/transport", Func: "(Endpoint).WriteSegments"},
 			{Pkg: "internal/node", Func: "(CES).flush"},

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,14 +14,23 @@ import (
 )
 
 // NewCES binds a UDP socket and a TCP listener; a Start that fails must
-// leave neither behind.
+// leave neither behind, nor any other descriptor: the loop's are opened
+// when it runs.
 func TestStartFailureClosesBothListeners(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1 // no procfs: the listeners are still checked
+		}
+		return len(ents)
+	}
 	for name, mps := range map[string][]MPAddr{
 		"no participants": nil,
 		"id span":         {{ID: 1, Addr: "127.0.0.1:9"}, {ID: 1 + maxIDSpan, Addr: "127.0.0.1:9"}},
 		"bad address":     {{ID: 1, Addr: "not an address"}},
 	} {
 		t.Run(name, func(t *testing.T) {
+			before := fds()
 			ces, err := NewCES(CESConfig{
 				Listen: "127.0.0.1:0", TickInterval: time.Millisecond, Ticks: 1,
 				Delta: time.Millisecond, Tau: time.Millisecond,
@@ -38,6 +48,9 @@ func TestStartFailureClosesBothListeners(t *testing.T) {
 			}
 			if err := ces.ep.Write([]byte{0}, ces.Addr().AddrPort()); err == nil {
 				t.Error("the UDP socket still sends after a failed Start")
+			}
+			if after := fds(); after != before {
+				t.Errorf("%d descriptors open after a failed Start, %d before NewCES", after, before)
 			}
 		})
 	}

@@ -10,14 +10,16 @@ import (
 	"dbo/internal/wire"
 )
 
-// FuzzCESDatagram feeds arbitrary bytes down the receive path of a
-// started CES and a started MP — DecodeInto, the crossing, onMessage on
-// the loop — and requires that neither loop panics or stalls and that
-// the CES still forwards a well-formed trade behind a well-formed
-// heartbeat afterwards. The nodes live for the whole run, so state left
-// by one input (queued trades, raised watermarks, open gaps) is what the
-// next input meets. It is the in-process half of hostile-socket testing:
-// the bytes skip the kernel, nothing else.
+// FuzzCESDatagram feeds arbitrary bytes down the receive paths of a
+// started CES and a started MP and requires that neither loop panics or
+// stalls and that the CES still forwards a well-formed trade behind a
+// well-formed heartbeat afterwards. Each input is written as a datagram
+// to both nodes' sockets, undecodable bytes included: through the
+// kernel to the loop's own read, DecodeInto and onMessage. An input that
+// decodes also takes the CES's TCP path, crossed onto its loop through
+// the inbox as a connection's reader would. The nodes live for the whole
+// run, so state left by one input (queued trades, raised watermarks,
+// open gaps) is what the next input meets.
 func FuzzCESDatagram(f *testing.F) {
 	trade := market.Trade{MP: 1, Seq: 1, Symbol: 1, Side: market.Buy, Price: 100, Qty: 1, Trigger: 1,
 		DC: market.DeliveryClock{Point: 1, Elapsed: 5}}
@@ -44,7 +46,7 @@ func FuzzCESDatagram(f *testing.F) {
 	f.Add([]byte{0xEE, 1, 2, 3}) // unknown tag
 	f.Add([]byte{})
 
-	sink := newRawSocket(f) // where both nodes' output goes; never read
+	sink := newRawSocket(f) // writes the inputs; both nodes' output goes here, never read
 	forwarded := make(chan market.TradeSeq, 1)
 	const probeSeq = 1 << 40 // the well-formed trades' sequence numbers start here
 	ces := startIngestCES(f, []string{sink.addr()}, func(t *market.Trade) {
@@ -66,19 +68,22 @@ func FuzzCESDatagram(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(mp.Stop)
-	toCES, toMP := cross(ces.inbox), cross(mp.inbox)
+	toCES, toMP, overTCP := ces.Addr().AddrPort(), mp.Addr().AddrPort(), cross(ces.inbox)
 
 	seq, elapsed := market.TradeSeq(probeSeq), sim.Time(1)<<40
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m wire.Msg
-		if wire.DecodeInto(&m, data) != nil {
-			return // a datagram the reader drops
-		}
-		if m.Type == wire.TTrade && m.Trade.MP == 1 && m.Trade.Seq >= probeSeq {
+		decoded := wire.DecodeInto(&m, data) == nil
+		if decoded && m.Type == wire.TTrade && m.Trade.MP == 1 && m.Trade.Seq >= probeSeq {
 			return // would be mistaken for the well-formed trade below
 		}
-		toCES(&m, netip.AddrPort{})
-		toMP(&m, netip.AddrPort{})
+		if len(data) <= 65507 { // the largest UDP payload
+			sink.write(t, data, toCES)
+			sink.write(t, data, toMP)
+		}
+		if decoded {
+			overTCP(&m, netip.AddrPort{})
+		}
 		if ces.Queued() < 0 {
 			t.Fatal("the CES loop stalled")
 		}
@@ -88,15 +93,15 @@ func FuzzCESDatagram(f *testing.F) {
 
 		seq++
 		elapsed += 2
-		m = wire.Msg{Type: wire.TTrade, Trade: market.Trade{
+		sink.buf = wire.AppendTrade(sink.buf[:0], &market.Trade{
 			MP: 1, Seq: seq, Symbol: 1, Side: market.Buy, Price: 100, Qty: 1, Trigger: 1,
 			DC: market.DeliveryClock{Point: 1, Elapsed: elapsed},
-		}}
-		toCES(&m, netip.AddrPort{})
-		m = wire.Msg{Type: wire.THeartbeat, Heartbeat: market.Heartbeat{
+		})
+		sink.write(t, sink.buf, toCES)
+		sink.buf = wire.AppendHeartbeat(sink.buf[:0], market.Heartbeat{
 			MP: 1, DC: market.DeliveryClock{Point: 1, Elapsed: elapsed + 1},
-		}}
-		toCES(&m, netip.AddrPort{})
+		})
+		sink.write(t, sink.buf, toCES)
 		select {
 		case got := <-forwarded:
 			if got != seq {

@@ -8,11 +8,12 @@
 // starts, so node clocks are genuinely unsynchronized. All DBO logic is
 // the same transport-agnostic core as the simulator's.
 //
-// Messages stay typed from socket to core: a reader goroutine decodes
-// into its own wire.Msg (transport.ServeMsg), the message crosses onto
-// the loop by value through one rt.Inbox per node, and onMessage
-// switches on its type. Outbound, the loop encodes into a buffer it
-// owns, once per message however many destinations it has. A market-data
+// Messages stay typed from socket to core. The loop reads its own UDP
+// socket (readUDP), decoding each datagram in place and switching on its
+// type in onMessage; a TCP connection's reader goroutine decodes into its
+// own wire.Msg and crosses the message onto the loop by value through the
+// CES's rt.Inbox. Outbound, the loop encodes into a buffer it owns, once
+// per message however many destinations it has. A market-data
 // point, a probe and everything an MP sends are written at once
 // (transport.Write): the release buffer's delivery time and a probe's T1
 // start at the write. The exchange's execution reports and retransmitted
@@ -77,6 +78,24 @@ func cross(in *rt.Inbox[wire.Msg]) func(*wire.Msg, netip.AddrPort) {
 	}
 }
 
+// udpBudget bounds the datagrams one loop turn reads, so that a flood
+// keeps the loop from neither its timers nor its flush (DESIGN §8.10).
+const udpBudget = 128
+
+// readUDP has ep's messages handled by h on l's goroutine, before l
+// runs: read by the loop itself if it is Polled, else by a reader
+// goroutine through in (made here when nil), as TCP's are.
+func readUDP(l *rt.Loop, ep *transport.Endpoint, h func(*wire.Msg), in *rt.Inbox[wire.Msg]) {
+	if l.Polled() {
+		l.Watch(ep.RawConn(), func() bool { return ep.Drain(h, udpBudget) })
+		return
+	}
+	if in == nil {
+		in = rt.NewInbox(l, h)
+	}
+	go ep.ServeMsg(cross(in)) //nolint:errcheck // returns nil on Close
+}
+
 // resolve parses a UDP address into the form transport.Write takes.
 func resolve(addr string) (netip.AddrPort, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
@@ -89,18 +108,19 @@ func resolve(addr string) (netip.AddrPort, error) {
 
 // registerSocket exports what the kernel is doing with a node's UDP
 // socket: the receive buffer it granted, the send buffer it defaults to
-// (nothing sets it) and the datagrams it dropped because the receive
-// buffer was full.
+// (nothing sets it), the datagrams it dropped because the receive buffer
+// was full, and its failed reads.
 func registerSocket(reg *metrics.Registry, ep *transport.Endpoint) {
 	reg.Func("socket_rcvbuf_bytes", ep.RcvBuf)
 	reg.Func("socket_sndbuf_bytes", ep.SndBuf)
 	reg.Func("udp_rx_dropped", ep.Dropped)
+	reg.Func("udp_rx_errors", ep.RxErrors)
 }
 
 // registerLoop exports how punctually a node's loop is woken for its
 // timers: each one's lateness, which kind of alarm wakes it, and how
-// often that alarm is set. The histogram is resolved once, like
-// cesMetrics.
+// often that alarm is set; and how often it sleeps and turns. The
+// histogram is resolved once, like cesMetrics.
 func registerLoop(reg *metrics.Registry, l *rt.Loop) {
 	late := reg.Histogram("timer_late_ns")
 	l.OnLate(func(by sim.Time) { late.Observe(int64(by)) })
@@ -111,6 +131,8 @@ func registerLoop(reg *metrics.Registry, l *rt.Loop) {
 		return 0
 	})
 	reg.Func("alarm_arms", l.Arms)
+	reg.Func("loop_wakes", l.Wakes)
+	reg.Func("loop_turns", l.Turns)
 }
 
 // ask evaluates fn on l's goroutine and returns its result, or -1: at
@@ -190,7 +212,7 @@ type CESConfig struct {
 type CES struct {
 	cfg    CESConfig
 	loop   *rt.Loop
-	inbox  *rt.Inbox[wire.Msg] // shared by the UDP reader and every TCP connection
+	inbox  *rt.Inbox[wire.Msg] // every TCP connection's, and a UDP reader's if the loop is not Polled
 	ep     *transport.Endpoint
 	tcp    *transport.TCPServer
 	ob     *core.OrderingBuffer
@@ -433,8 +455,8 @@ func (c *CES) Start(mps []MPAddr) error {
 			})
 		})
 	}
+	readUDP(c.loop, c.ep, c.onMessage, c.inbox)
 	go c.loop.Run()
-	go c.ep.ServeMsg(cross(c.inbox))  //nolint:errcheck // returns nil on Close
 	go c.tcp.ServeMsg(cross(c.inbox)) //nolint:errcheck // returns nil on Close
 	c.loop.Schedule(0, (*cesTicker)(c), 0)
 	c.scheduleOBTick()
@@ -488,14 +510,16 @@ func (c *CES) scheduleProbes() {
 // when Adaptive is on, per-MP wm_lag_points_mp_<id> and
 // straggler_mp_<id>; socket_rcvbuf_bytes — the receive buffer the kernel
 // granted — socket_sndbuf_bytes — its send buffer, read and never set —
-// udp_rx_dropped — datagrams it dropped at the socket — and
-// gso_disabled — 1 once the egress queues go out one syscall per record
-// because the platform or the kernel refused a segmented send, else 0;
-// timer_precise — 1 when the loop is woken for its timers by a timerfd,
-// 0 when by a runtime timer, up to a millisecond late on an idle process
-// — and alarm_arms — the times that alarm has been set, a system call
-// each when timer_precise; the loop-served gauges read -1 once the node
-// has stopped), and histograms
+// udp_rx_dropped — datagrams it dropped at the socket — udp_rx_errors —
+// its failed reads — and gso_disabled — 1 once the egress queues go out
+// one syscall per record because the platform or the kernel refused a
+// segmented send, else 0; timer_precise — 1 when the loop is woken for
+// its timers by a timerfd, 0 when by a runtime timer, up to a
+// millisecond late on an idle process — alarm_arms — the times that
+// alarm has been set, a system call each when timer_precise — and
+// loop_wakes and loop_turns — the times the loop has been woken from a
+// sleep, and the turns it has begun; the loop-served gauges read -1 once
+// the node has stopped), and histograms
 // (ob_hold_ns, response_ns, hb_staleness_ns, probe_rtt_ns, and
 // timer_late_ns — how far past its deadline each loop timer fired). Mount
 // Metrics().Handler() (JSON) or Metrics().PromHandler() (Prometheus
@@ -643,8 +667,8 @@ func (c *CES) peerOf(id market.ParticipantID) *peer {
 	return &c.peers[i]
 }
 
-// onMessage dispatches reverse-path traffic (loop goroutine). m is a
-// slot of the inbox, valid for this call only.
+// onMessage dispatches reverse-path traffic (loop goroutine). m is the
+// endpoint's or an inbox slot, valid for this call only.
 func (c *CES) onMessage(m *wire.Msg) {
 	switch m.Type {
 	case wire.TTrade:
@@ -884,7 +908,6 @@ type MPConfig struct {
 type MP struct {
 	cfg   MPConfig
 	loop  *rt.Loop
-	inbox *rt.Inbox[wire.Msg]
 	ep    *transport.Endpoint
 	rb    *core.ReleaseBuffer
 	ces   netip.AddrPort
@@ -960,7 +983,6 @@ func StartMP(cfg MPConfig) (*MP, error) {
 		cfg: cfg, loop: rt.NewLoop(), ep: ep, ces: ces, reg: metrics.NewRegistry(),
 		buf: make([]byte, 0, wire.MaxSize), nextPoint: 1,
 	}
-	m.inbox = rt.NewInbox(m.loop, m.onMessage)
 	m.m = mpMetrics{
 		batchesDelivered: m.reg.Counter("batches_delivered"), tradesSubmitted: m.reg.Counter("trades_submitted"),
 		fills: m.reg.Counter("fills"), deliveryGap: m.reg.Histogram("delivery_gap_ns"),
@@ -994,8 +1016,8 @@ func StartMP(cfg MPConfig) (*MP, error) {
 		// nothing of the batch; OnDeliver and the Auditor are held to the same.
 		RecycleBatches: true,
 	})
+	readUDP(m.loop, m.ep, m.onMessage, nil)
 	go m.loop.Run()
-	go m.ep.ServeMsg(cross(m.inbox)) //nolint:errcheck // returns nil on Close
 	m.loop.Post(m.rb.Start)
 	return m, nil
 }
@@ -1006,8 +1028,9 @@ func (m *MP) Addr() *net.UDPAddr { return m.ep.LocalAddr() }
 // Metrics exposes the participant's operational registry: counters
 // (batches_delivered, trades_submitted, fills, probes_reflected,
 // data_rejected), the socket gauges socket_rcvbuf_bytes,
-// socket_sndbuf_bytes and udp_rx_dropped, the loop's timer_precise and
-// alarm_arms (see CES.Metrics), and histograms
+// socket_sndbuf_bytes, udp_rx_dropped and udp_rx_errors, the loop's
+// timer_precise, alarm_arms, loop_wakes and loop_turns (see
+// CES.Metrics), and histograms
 // (delivery_gap_ns — inter-batch pacing on this node's clock —
 // response_ns and timer_late_ns). Mount Metrics().Handler() or
 // .PromHandler() to scrape.
@@ -1053,8 +1076,8 @@ func (m *MP) write() {
 	m.ep.Write(m.buf, m.ces) //nolint:errcheck
 }
 
-// onMessage dispatches forward-path traffic (loop goroutine). msg is a
-// slot of the inbox, valid for this call only.
+// onMessage dispatches forward-path traffic (loop goroutine). msg is
+// the endpoint's or an inbox slot, valid for this call only.
 func (m *MP) onMessage(msg *wire.Msg) {
 	switch msg.Type {
 	case wire.TMarketData:

@@ -398,35 +398,83 @@ func TestLiveClusterTCPReversePath(t *testing.T) {
 }
 
 // TestStopLeavesNoGoroutines is the lifecycle oracle for every `go`
-// statement under internal/: a CES (loop.Run, Endpoint.ServeMsg,
-// TCPServer.ServeMsg and, once a peer dials, serveConn) and two MPs
-// (loop.Run and Endpoint.ServeMsg each), one on the UDP reverse path
-// and one on framed TCP. After traffic has flowed and everything is
-// stopped, the goroutine count must return to where it started. Stop
-// does not wait for the goroutines it tells to exit, hence the poll.
+// statement under internal/, and it pins what a node costs: on a loop
+// that reads its own socket (rt.Loop.Polled) a started MP is one
+// goroutine, its loop, and a started CES two, its loop and its TCP
+// acceptor, plus one per TCP connection. The cluster is a CES and two
+// MPs, one on the UDP reverse path and one on framed TCP. After traffic
+// has flowed and everything is stopped, the goroutine count must return
+// to where it started. Neither Start nor Stop waits for the goroutines
+// it starts or tells to exit, hence the polls.
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live cluster test needs real time")
 	}
+	// wait polls until ok holds of the goroutine count, for up to five
+	// seconds, and fails printing every stack if it never does.
+	wait := func(ok func(n int) bool, what string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !ok(runtime.NumGoroutine()); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				var stacks bytes.Buffer
+				pprof.Lookup("goroutine").WriteTo(&stacks, 1) //nolint:errcheck // a bytes.Buffer does not fail
+				t.Fatalf("%s: %d goroutines:\n%s", what, runtime.NumGoroutine(), stacks.String())
+			}
+		}
+	}
+	// Whatever earlier tests' nodes leave is still on its way out.
 	before := runtime.NumGoroutine()
+	for steady := time.Now(); time.Since(steady) < 20*time.Millisecond; time.Sleep(time.Millisecond) {
+		if n := runtime.NumGoroutine(); n != before {
+			before, steady = n, time.Now()
+		}
+	}
+	pin := func(add int, what string) {
+		t.Helper()
+		wait(func(n int) bool { return n == before+add }, fmt.Sprintf("%s: want %d + %d", what, before, add))
+	}
 
-	const nMP, ticks = 2, 4
-	ces, mps := startCluster(t, nMP, ticks, nMP) // the last MP on TCP
-	waitForward(t, ces, nMP*ticks, 10*time.Second)
+	ces, err := NewCES(CESConfig{
+		Listen: "127.0.0.1:0", TickInterval: 60 * time.Millisecond, Ticks: 4,
+		Delta: 25 * time.Millisecond, Kappa: 0.25, Tau: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	polled := ces.loop.Polled()
+	var mps []*MP
+	var addrs []MPAddr
+	for id := market.ParticipantID(1); id <= 2; id++ {
+		cfg := MPConfig{
+			ID: id, Listen: "127.0.0.1:0", CES: ces.Addr().String(),
+			Delta: 25 * time.Millisecond, Tau: 2 * time.Millisecond, Strategy: strategyFor(id),
+		}
+		if id == 2 {
+			cfg.CESTCP = ces.TCPAddr().String()
+		}
+		mp, err := StartMP(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mps = append(mps, mp)
+		addrs = append(addrs, MPAddr{ID: id, Addr: mp.Addr().String()})
+		if polled {
+			pin(len(mps), fmt.Sprintf("%d started MPs", len(mps)))
+		}
+	}
+	if err := ces.Start(addrs); err != nil {
+		t.Fatal(err)
+	}
+	if polled {
+		pin(len(mps)+2+1, "two MPs, a started CES and its one TCP connection")
+	}
+	waitForward(t, ces, 2*4, 10*time.Second)
 
 	ces.Stop()
 	for _, mp := range mps {
 		mp.Stop()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			var stacks bytes.Buffer
-			pprof.Lookup("goroutine").WriteTo(&stacks, 1) //nolint:errcheck // a bytes.Buffer does not fail
-			t.Fatalf("%d goroutines before the cluster, %d five seconds after Stop:\n%s", before, runtime.NumGoroutine(), stacks.String())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	wait(func(n int) bool { return n <= before }, fmt.Sprintf("five seconds after Stop, want at most %d", before))
 }
 
 func TestMetricsRegistryAndHTTPScrape(t *testing.T) {
@@ -469,6 +517,12 @@ func TestMetricsRegistryAndHTTPScrape(t *testing.T) {
 	}
 	if snap["alarm_arms"] == 0 || snap["timer_late_ns_count"] == 0 {
 		t.Errorf("alarm_arms = %d, timer_late_ns_count = %d after four ticks", snap["alarm_arms"], snap["timer_late_ns_count"])
+	}
+	if snap["loop_wakes"] == 0 || snap["loop_turns"] < snap["loop_wakes"] {
+		t.Errorf("loop_wakes = %d, loop_turns = %d after four ticks: a loop turns at least once per wake", snap["loop_wakes"], snap["loop_turns"])
+	}
+	if v, ok := snap["udp_rx_errors"]; !ok || v != 0 {
+		t.Errorf("udp_rx_errors = %d (present %v) on a healthy socket", v, ok)
 	}
 }
 

@@ -4,9 +4,9 @@ package rt
 // without a closure or an interface box per value: Put copies *v into a
 // slice under the loop's lock, and Run swaps that slice out and calls
 // the inbox's handler on each element, in Put order, where it runs
-// Posted functions. A node has one inbox shared by all its socket
-// readers, so messages reach the loop in the order their Puts took the
-// lock, whichever socket they came from.
+// Posted functions. A node has one inbox shared by all its reader
+// goroutines, so messages reach the loop in the order their Puts took
+// the lock, whichever socket they came from.
 type Inbox[T any] struct {
 	l  *Loop
 	fn func(*T)
@@ -33,17 +33,13 @@ func NewInbox[T any](l *Loop, fn func(*T)) *Inbox[T] {
 	return b
 }
 
-// Put copies *v into the inbox; the caller keeps v. It wakes the loop
-// only when the inbox was empty: a loop that has not yet taken the
-// earlier values will take this one with them. Safe from any goroutine.
+// Put copies *v into the inbox; the caller keeps v. Safe from any
+// goroutine.
 func (b *Inbox[T]) Put(v *T) {
 	b.l.mu.Lock()
 	b.in = append(b.in, *v)
-	first := len(b.in) == 1
 	b.l.mu.Unlock()
-	if first {
-		b.l.kick()
-	}
+	b.l.kick()
 }
 
 func (b *Inbox[T]) swap() { b.in, b.out = b.out[:0], b.in }

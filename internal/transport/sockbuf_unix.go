@@ -28,3 +28,13 @@ func (e *Endpoint) sockBuf(opt int) int64 {
 	}
 	return int64(n)
 }
+
+// readRaw is one non-blocking read(2) of a datagram, without its source;
+// n is negative when the socket is empty.
+func readRaw(fd uintptr, b []byte) (n int, err error) {
+	n, err = syscall.Read(int(fd), b)
+	if err == syscall.EAGAIN {
+		return -1, nil
+	}
+	return n, err
+}

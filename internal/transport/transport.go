@@ -1,8 +1,9 @@
 // Package transport provides the UDP endpoints of the live deployment:
-// one socket per node, wire-encoded datagrams, and a receive loop that
-// hands decoded messages to a handler. The typed calls (ServeMsg,
-// Write, WriteSegments) are the live path; Serve and Send are the boxed
-// forms of the first two.
+// one socket per node and wire-encoded datagrams. The typed calls are the
+// live path: Drain, called by a node's loop when the socket is readable,
+// or ServeMsg, a receive loop of its own, to hand decoded messages to a
+// handler; Write and WriteSegments. Serve and Send are the boxed forms
+// of ServeMsg and Write.
 //
 // Write is one datagram and one trip down the kernel's stack.
 // WriteSegments is a run of equal-size records to one destination in
@@ -23,6 +24,7 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"dbo/internal/wire"
 )
@@ -30,6 +32,15 @@ import (
 // Endpoint is one node's UDP socket.
 type Endpoint struct {
 	conn *net.UDPConn
+	rc   syscall.RawConn
+
+	// Drain's buffer, Msg, handler and reads left, and its callback,
+	// bound once so that a call takes no method value.
+	rbuf   []byte
+	rmsg   wire.Msg
+	dh     func(*wire.Msg)
+	dleft  int
+	drainf func(fd uintptr) bool
 
 	mu  sync.Mutex // guards Send's encode buffer
 	buf []byte
@@ -42,10 +53,10 @@ type Endpoint struct {
 	oob    []byte
 	gsoOff atomic.Bool
 
-	// Counters (atomic; read with Stats and Writes). sent counts
-	// datagrams; saved counts those that did not cost a syscall of their
-	// own (k-1 of a segmented send of k).
-	sent, saved, received, decodeErrs atomic.Int64
+	// Counters (atomic; read with Stats, Writes and RxErrors). sent
+	// counts datagrams; saved counts those that did not cost a syscall of
+	// their own (k-1 of a segmented send of k).
+	sent, saved, received, decodeErrs, rxErrs atomic.Int64
 }
 
 // MaxSegments is the most datagrams one WriteSegments call may carry
@@ -72,10 +83,21 @@ func Listen(addr string) (*Endpoint, error) {
 	if err := conn.SetReadBuffer(rcvBuf); err != nil {
 		return nil, errors.Join(fmt.Errorf("transport: receive buffer of %q: %w", addr, err), conn.Close())
 	}
-	e := &Endpoint{conn: conn, buf: make([]byte, 0, wire.MaxSize), oob: segmentOOB()}
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return nil, errors.Join(fmt.Errorf("transport: raw conn of %q: %w", addr, err), conn.Close())
+	}
+	e := &Endpoint{
+		conn: conn, rc: rc, rbuf: make([]byte, 64*1024), // a maximally padded probe
+		buf: make([]byte, 0, wire.MaxSize), oob: segmentOOB(),
+	}
+	e.drainf = e.drain
 	e.gsoOff.Store(e.oob == nil)
 	return e, nil
 }
+
+// RawConn is the socket's raw connection, for an event loop to watch.
+func (e *Endpoint) RawConn() syscall.RawConn { return e.rc }
 
 // LocalAddr returns the bound address.
 func (e *Endpoint) LocalAddr() *net.UDPAddr { return e.conn.LocalAddr().(*net.UDPAddr) }
@@ -140,6 +162,39 @@ func (e *Endpoint) Send(v any, to *net.UDPAddr) error {
 	return e.Write(buf, to.AddrPort())
 }
 
+// Drain reads at most max of the datagrams queued at the socket, without
+// waiting, and hands each decoded message to h, yours for the call as
+// under ServeMsg; it reports whether it stopped at max. Undecodable
+// datagrams and failed reads are counted (Stats, RxErrors) and skipped.
+// For one goroutine at a time, and not beside ServeMsg.
+func (e *Endpoint) Drain(h func(*wire.Msg), max int) (more bool) {
+	e.dh, e.dleft = h, max
+	return e.rc.Read(e.drainf) == nil && e.dleft == 0
+}
+
+// drain is Drain's RawConn.Read callback: Read holds the socket's read
+// lock around it, so a concurrent Close waits, and it returns true, so
+// Read never parks.
+func (e *Endpoint) drain(fd uintptr) bool {
+	for ; e.dleft > 0; e.dleft-- {
+		n, err := readRaw(fd, e.rbuf)
+		switch {
+		case n < 0:
+			return true
+		case err != nil:
+			e.rxErrs.Add(1)
+			continue
+		}
+		if wire.DecodeInto(&e.rmsg, e.rbuf[:n]) != nil {
+			e.decodeErrs.Add(1)
+			continue
+		}
+		e.received.Add(1)
+		e.dh(&e.rmsg)
+	}
+	return true
+}
+
 // ServeMsg reads datagrams and hands each decoded message to h until
 // Close. Run it on its own goroutine; h is called on that goroutine, so
 // handlers that touch node state must cross into the node's loop.
@@ -184,6 +239,10 @@ func (e *Endpoint) Stats() (sent, received, decodeErrs int64) {
 	return e.sent.Load(), e.received.Load(), e.decodeErrs.Load()
 }
 
+// RxErrors reports the reads Drain saw fail with anything but an empty
+// socket.
+func (e *Endpoint) RxErrors() int64 { return e.rxErrs.Load() }
+
 // Writes reports the syscalls that carried the sent datagrams: equal to
 // sent unless WriteSegments put several in one.
 func (e *Endpoint) Writes() int64 { return e.sent.Load() - e.saved.Load() }
@@ -198,7 +257,7 @@ func (e *Endpoint) GSODisabled() int64 {
 	return 0
 }
 
-// Close shuts the socket down, unblocking Serve.
+// Close shuts the socket down, unblocking Serve and ending Drain.
 func (e *Endpoint) Close() error {
 	e.closed.Store(true)
 	return e.conn.Close()
