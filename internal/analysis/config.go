@@ -159,26 +159,24 @@ func Default() *Config {
 			{Pkg: "internal/sim", Func: "(Kernel).Schedule"},
 			{Pkg: "internal/sim", Func: "(Kernel).step"},
 			{Pkg: "internal/netsim", Func: "(Link).Send"},
-			// One live message, socket to core and back out: the crossing
-			// onto the loop, a closure-free timer, a write of encoded
-			// bytes, and the nodes' receive switches (the runtime probes
-			// are TestInboxZeroAlloc, TestLoopScheduleZeroAlloc,
-			// TestServeMsgZeroAlloc and TestLiveIngestAllocBudget). The
-			// CES switch carries the path's one deliberate allocation,
-			// the retained trade. The end-of-turn egress flush is a
-			// stored func the call graph does not follow from Loop.Run,
-			// so it is a root of its own, as is the segmented send under
-			// it (probes: TestEndOfTurnZeroAlloc, TestWriteSegments), and
-			// so is the loop's own read of its socket, Drain's callback
-			// (TestDrainZeroAlloc). The loop sets its alarm and waits
-			// before every sleep (TestArmZeroAlloc).
-			{Pkg: "internal/rt", Func: "(Inbox[T]).Put"},
-			{Pkg: "internal/rt", Func: "(Inbox[T]).drain"},
+			// One live message, socket to core and back out: the loop's
+			// reads of its sockets, a closure-free timer, a write of
+			// encoded bytes, and the nodes' receive switches (the runtime
+			// probes are TestDrainZeroAlloc, TestTCPDrainZeroAlloc,
+			// TestLoopScheduleZeroAlloc and TestLiveIngestAllocBudget).
+			// The CES switch carries the path's one deliberate
+			// allocation, the retained trade. The drains' read callbacks
+			// and the end-of-turn egress flush are stored funcs the call
+			// graph does not follow, so each is a root of its own, as is
+			// the segmented send under the flush (probes:
+			// TestEndOfTurnZeroAlloc, TestWriteSegments). The loop sets
+			// its alarm before every sleep (TestArmZeroAlloc).
 			{Pkg: "internal/rt", Func: "(Loop).Schedule"},
 			{Pkg: "internal/rt", Func: "(Loop).arm"},
-			{Pkg: "internal/rt", Func: "(Loop).wait"},
 			{Pkg: "internal/transport", Func: "(Endpoint).Drain"},
 			{Pkg: "internal/transport", Func: "(Endpoint).drain"},
+			{Pkg: "internal/transport", Func: "(TCPConn).Drain"},
+			{Pkg: "internal/transport", Func: "(TCPConn).read"},
 			{Pkg: "internal/transport", Func: "(Endpoint).Write"},
 			{Pkg: "internal/transport", Func: "(Endpoint).WriteSegments"},
 			{Pkg: "internal/node", Func: "(CES).flush"},

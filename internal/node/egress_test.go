@@ -17,20 +17,13 @@ import (
 // leave neither behind, nor any other descriptor: the loop's are opened
 // when it runs.
 func TestStartFailureClosesBothListeners(t *testing.T) {
-	fds := func() int {
-		ents, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			return -1 // no procfs: the listeners are still checked
-		}
-		return len(ents)
-	}
 	for name, mps := range map[string][]MPAddr{
 		"no participants": nil,
 		"id span":         {{ID: 1, Addr: "127.0.0.1:9"}, {ID: 1 + maxIDSpan, Addr: "127.0.0.1:9"}},
 		"bad address":     {{ID: 1, Addr: "not an address"}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			before := fds()
+			before := openFDs()
 			ces, err := NewCES(CESConfig{
 				Listen: "127.0.0.1:0", TickInterval: time.Millisecond, Ticks: 1,
 				Delta: time.Millisecond, Tau: time.Millisecond,
@@ -49,11 +42,21 @@ func TestStartFailureClosesBothListeners(t *testing.T) {
 			if err := ces.ep.Write([]byte{0}, ces.Addr().AddrPort()); err == nil {
 				t.Error("the UDP socket still sends after a failed Start")
 			}
-			if after := fds(); after != before {
+			if after := openFDs(); after != before {
 				t.Errorf("%d descriptors open after a failed Start, %d before NewCES", after, before)
 			}
 		})
 	}
+}
+
+// openFDs counts the process's open descriptors; -1 without procfs, where
+// the tests' other checks still stand.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
 }
 
 // egressCounts reads the egress counters on the loop, between two turns:

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"net/netip"
 	"testing"
 	"time"
 
@@ -16,10 +15,12 @@ import (
 // well-formed heartbeat afterwards. Each input is written as a datagram
 // to both nodes' sockets, undecodable bytes included: through the
 // kernel to the loop's own read, DecodeInto and onMessage. An input that
-// decodes also takes the CES's TCP path, crossed onto its loop through
-// the inbox as a connection's reader would. The nodes live for the whole
-// run, so state left by one input (queued trades, raised watermarks,
-// open gaps) is what the next input meets.
+// decodes also takes the CES's TCP path: it is written as a frame on a
+// connection dialled to the CES's listener, in two writes cut at a byte
+// the fuzzer chooses, and read by the loop's frame reader. The nodes
+// live for the whole run, so state left by one input (queued trades,
+// raised watermarks, open gaps, a partial frame) is what the next input
+// meets.
 func FuzzCESDatagram(f *testing.F) {
 	trade := market.Trade{MP: 1, Seq: 1, Symbol: 1, Side: market.Buy, Price: 100, Qty: 1, Trigger: 1,
 		DC: market.DeliveryClock{Point: 1, Elapsed: 5}}
@@ -33,18 +34,22 @@ func FuzzCESDatagram(f *testing.F) {
 		wire.AppendProbe(nil, wire.Probe{MP: 1, Seq: 1, T1: 3, Pad: []byte{1, 2, 3}}),
 		wire.AppendProbeReply(nil, wire.ProbeReply{MP: 1, Seq: 1, T1: 3, T2: 4, T3: 5}),
 	}
+	// Each whole message is also cut inside the frame's length prefix,
+	// at its end, and before the frame's last byte.
 	for _, b := range whole {
-		f.Add(b)
-		f.Add(b[:len(b)-1]) // truncated
+		for _, cut := range []int{0, 3, 4, len(b) + 3} {
+			f.Add(b, uint16(cut))
+		}
+		f.Add(b[:len(b)-1], uint16(0)) // truncated
 	}
 	// The two retransmission requests that crashed an unvalidating CES:
 	// index −1, and a 2^62-point range as a slice capacity.
-	f.Add(wire.AppendRetx(nil, wire.Retx{MP: 1, From: 0, To: 3}))
-	f.Add(wire.AppendRetx(nil, wire.Retx{MP: 1, From: 1, To: 1 << 62}))
+	f.Add(wire.AppendRetx(nil, wire.Retx{MP: 1, From: 0, To: 3}), uint16(0))
+	f.Add(wire.AppendRetx(nil, wire.Retx{MP: 1, From: 1, To: 1 << 62}), uint16(0))
 	// The data point that stalled an unvalidating MP: a 2^62-point gap.
-	f.Add(wire.AppendMarketData(nil, market.DataPoint{ID: 1 << 62, Batch: 2}))
-	f.Add([]byte{0xEE, 1, 2, 3}) // unknown tag
-	f.Add([]byte{})
+	f.Add(wire.AppendMarketData(nil, market.DataPoint{ID: 1 << 62, Batch: 2}), uint16(0))
+	f.Add([]byte{0xEE, 1, 2, 3}, uint16(0)) // unknown tag
+	f.Add([]byte{}, uint16(0))
 
 	sink := newRawSocket(f) // writes the inputs; both nodes' output goes here, never read
 	forwarded := make(chan market.TradeSeq, 1)
@@ -68,10 +73,10 @@ func FuzzCESDatagram(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(mp.Stop)
-	toCES, toMP, overTCP := ces.Addr().AddrPort(), mp.Addr().AddrPort(), cross(ces.inbox)
+	toCES, toMP, conn := ces.Addr().AddrPort(), mp.Addr().AddrPort(), dialTCP(f, ces)
 
 	seq, elapsed := market.TradeSeq(probeSeq), sim.Time(1)<<40
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
 		var m wire.Msg
 		decoded := wire.DecodeInto(&m, data) == nil
 		if decoded && m.Type == wire.TTrade && m.Trade.MP == 1 && m.Trade.Seq >= probeSeq {
@@ -81,8 +86,19 @@ func FuzzCESDatagram(f *testing.F) {
 			sink.write(t, data, toCES)
 			sink.write(t, data, toMP)
 		}
-		if decoded {
-			overTCP(&m, netip.AddrPort{})
+		if decoded && len(data) <= 1<<16 { // the largest frame; a larger one ends the connection
+			b := frame(data)
+			k, framed := int(cut)%(len(b)+1), ces.tcp.Received()+1
+			for _, b := range [][]byte{b[:k], b[k:]} {
+				if _, err := conn.Write(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for deadline := time.Now().Add(5 * time.Second); ces.tcp.Received() < framed; time.Sleep(10 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the frame of %x cut at %d was not read", data, k)
+				}
+			}
 		}
 		if ces.Queued() < 0 {
 			t.Fatal("the CES loop stalled")

@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"dbo/internal/market"
-	"dbo/internal/rt"
 	"dbo/internal/sim"
-	"dbo/internal/transport"
 	"dbo/internal/wire"
 )
 
@@ -204,8 +202,8 @@ func (f *ingestFleet) run(t *testing.T, n, burst int) {
 	}
 }
 
-// TestLiveIngestAllocBudget holds the live ingest path — socket read,
-// decode, the crossing onto the loop, ordering buffer, matching engine,
+// TestLiveIngestAllocBudget holds the live ingest path — the loop's
+// socket read, decode, ordering buffer, matching engine,
 // execution reports out — to one and a half heap objects per forwarded
 // trade, on a real CES fed by a raw socket. What is left under the
 // budget is the trade the OB and Forwarded() retain; the transport, the
@@ -234,9 +232,9 @@ func TestLiveIngestAllocBudget(t *testing.T) {
   go test ./internal/node -run TestLiveIngestAllocBudget -memprofile mem.prof -memprofilerate 1
   go tool pprof -sample_index=alloc_objects -top mem.prof
 and look for:
-  net.(*UDPConn).ReadFromUDP              a *UDPAddr and its IP per datagram (ServeMsg reads with ReadFromUDPAddrPort)
+  net.(*UDPConn).ReadFromUDP              a *UDPAddr and its IP per datagram (the loop's Drain reads with read(2))
   wire.Decode / (*Msg).Value              the message boxed into any (the live path uses DecodeInto and m.Type)
-  node.cross / rt.(*Loop).Post            a closure per message (the crossing is rt.Inbox.Put, by value)
+  rt.(*Loop).Post / Watch                 a closure or a method value per message (the drains are bound once)
   node.(*CES).onForward / report          an exec boxed or encoded per counterparty (encoded once into c.buf)
   metrics.(*Registry).Counter             not an object, but a mutex and a map lookup per message
   node.(*CES).tick                        a closure per re-arm (the tick is Loop.Schedule with the index as arg)
@@ -400,76 +398,12 @@ func TestExecOncePerEndpoint(t *testing.T) {
 }
 
 // A maximally padded probe followed at once by a small datagram: the
-// reader decodes the second into the Msg the first was handed over in,
-// while the loop may still be working on the first. The crossing copies
-// the message and leaves Probe.Pad — the reader's storage — behind, so
-// the loop sees no pad and every trade intact. The handler reads all of
-// what it is given; run under -race, sharing the pad would be a
-// reported race with the reader's next decode.
+// MP's loop decodes the second into the Msg the first was handed over in,
+// over the pad's storage. Every probe is reflected with its own sequence
+// number and every point between them is delivered.
 func TestPaddedProbeThenDatagramNoAlias(t *testing.T) {
 	const rounds = 12
 	const pad = 65507 - wire.ProbeHeaderSize // the largest probe one UDP datagram carries
-
-	t.Run("crossing", func(t *testing.T) {
-		ep, err := transport.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ep.Close()
-		loop := rt.NewLoop()
-		go loop.Run()
-		defer loop.Stop()
-
-		type seen struct {
-			typ     byte
-			seq     uint64
-			padLen  int
-			padSum  int
-			padNil  bool
-			tradeOK bool
-		}
-		got := make(chan seen, 2*rounds)
-		in := rt.NewInbox(loop, func(m *wire.Msg) {
-			s := seen{typ: m.Type, padLen: len(m.Probe.Pad), padNil: m.Probe.Pad == nil}
-			for _, b := range m.Probe.Pad {
-				s.padSum += int(b)
-			}
-			switch m.Type {
-			case wire.TProbe:
-				s.seq = m.Probe.Seq
-			case wire.TTrade:
-				s.seq = uint64(m.Trade.Seq)
-				s.tradeOK = m.Trade.MP == 3 && m.Trade.Price == 100+int64(m.Trade.Seq)
-			}
-			got <- s
-		})
-		go ep.ServeMsg(cross(in))
-
-		raw := newRawSocket(t)
-		to := ep.LocalAddr().AddrPort()
-		for i := 1; i <= rounds; i++ {
-			raw.write(t, wire.AppendProbe(nil, wire.Probe{MP: 3, Seq: uint64(i), Pad: bytes.Repeat([]byte{byte(i)}, pad)}), to)
-			raw.write(t, wire.AppendTrade(nil, &market.Trade{MP: 3, Seq: market.TradeSeq(i), Price: 100 + int64(i)}), to)
-		}
-		for i := 1; i <= rounds; i++ {
-			for _, typ := range []byte{wire.TProbe, wire.TTrade} {
-				select {
-				case s := <-got:
-					if s.typ != typ || s.seq != uint64(i) {
-						t.Fatalf("got type %d seq %d, want type %d seq %d", s.typ, s.seq, typ, i)
-					}
-					if !s.padNil || s.padLen != 0 {
-						t.Fatalf("message %d/%d crossed with %d bytes of the reader's pad", typ, i, s.padLen)
-					}
-					if typ == wire.TTrade && !s.tradeOK {
-						t.Fatalf("trade %d crossed corrupted", i)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatalf("round %d type %d never reached the loop", i, typ)
-				}
-			}
-		}
-	})
 
 	t.Run("mp", func(t *testing.T) {
 		ces := newRawSocket(t) // stands in for the exchange: collects the probe replies

@@ -8,19 +8,21 @@
 // starts, so node clocks are genuinely unsynchronized. All DBO logic is
 // the same transport-agnostic core as the simulator's.
 //
-// Messages stay typed from socket to core. The loop reads its own UDP
-// socket (readUDP), decoding each datagram in place and switching on its
-// type in onMessage; a TCP connection's reader goroutine decodes into its
-// own wire.Msg and crosses the message onto the loop by value through the
-// CES's rt.Inbox. Outbound, the loop encodes into a buffer it owns, once
-// per message however many destinations it has. A market-data
-// point, a probe and everything an MP sends are written at once
-// (transport.Write): the release buffer's delivery time and a probe's T1
-// start at the write. The exchange's execution reports and retransmitted
-// points are not written one by one: each is appended to its endpoint's
-// egress queue, and the queues are flushed at the end of the loop turn
-// that filled them (rt.Loop.OnTurnEnd), each as one segmented send
-// (transport.WriteSegments) that arrives as one datagram per record.
+// Every input is a read by the node's one loop goroutine (rt.Loop.Watch):
+// its UDP socket and, on the CES, its TCP listener and each connection
+// accepted from it. Messages stay typed from socket to core: each
+// datagram or frame is decoded in place and onMessage switches on its
+// type. Besides the sockets only the node's timers and rt.Loop.Post (a
+// scrape, start-up) reach the loop. Outbound, the loop encodes into a
+// buffer it owns, once per message however many destinations it has. A
+// market-data point, a probe and everything an MP sends are written at
+// once (transport.Write): the release buffer's delivery time and a
+// probe's T1 start at the write. The exchange's execution reports and
+// retransmitted points are not written one by one: each is appended to
+// its endpoint's egress queue, and the queues are flushed at the end of
+// the loop turn that filled them (rt.Loop.OnTurnEnd), each as one
+// segmented send (transport.WriteSegments) that arrives as one datagram
+// per record.
 //
 // Who is a destination depends on the message. Market data and probes go
 // to every participant: each release buffer is owed its own copy, and a
@@ -38,6 +40,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -64,37 +67,13 @@ func wireRetx(r core.RetxRequest) wire.Retx {
 	return wire.Retx{MP: r.MP, From: r.From, To: r.To}
 }
 
-// cross returns the transport handler that carries a reader's message
-// onto a node's loop. The reader's Msg is copied into the inbox, all but
-// Probe.Pad: that slice is storage the reader decodes the next probe
-// into, nothing on the loop reads it (transport.Reflect ignores it), so
-// it stays behind rather than being shared between two goroutines.
-func cross(in *rt.Inbox[wire.Msg]) func(*wire.Msg, netip.AddrPort) {
-	return func(m *wire.Msg, _ netip.AddrPort) {
-		pad := m.Probe.Pad
-		m.Probe.Pad = nil
-		in.Put(m)
-		m.Probe.Pad = pad
-	}
-}
+// readBudget bounds what one loop turn reads from one socket, messages
+// or connections, so that a flood keeps the loop from neither its
+// timers nor its flush (DESIGN §8.10).
+const readBudget = 128
 
-// udpBudget bounds the datagrams one loop turn reads, so that a flood
-// keeps the loop from neither its timers nor its flush (DESIGN §8.10).
-const udpBudget = 128
-
-// readUDP has ep's messages handled by h on l's goroutine, before l
-// runs: read by the loop itself if it is Polled, else by a reader
-// goroutine through in (made here when nil), as TCP's are.
-func readUDP(l *rt.Loop, ep *transport.Endpoint, h func(*wire.Msg), in *rt.Inbox[wire.Msg]) {
-	if l.Polled() {
-		l.Watch(ep.RawConn(), func() bool { return ep.Drain(h, udpBudget) })
-		return
-	}
-	if in == nil {
-		in = rt.NewInbox(l, h)
-	}
-	go ep.ServeMsg(cross(in)) //nolint:errcheck // returns nil on Close
-}
+// errUnsupported is starting a node without a loop to run it on.
+var errUnsupported = fmt.Errorf("node: no event loop here: %w", errors.ErrUnsupported)
 
 // resolve parses a UDP address into the form transport.Write takes.
 func resolve(addr string) (netip.AddrPort, error) {
@@ -118,18 +97,12 @@ func registerSocket(reg *metrics.Registry, ep *transport.Endpoint) {
 }
 
 // registerLoop exports how punctually a node's loop is woken for its
-// timers: each one's lateness, which kind of alarm wakes it, and how
-// often that alarm is set; and how often it sleeps and turns. The
-// histogram is resolved once, like cesMetrics.
+// timers: each one's lateness, and how often its alarm is set; and how
+// often it sleeps and turns. The histogram is resolved once, like
+// cesMetrics.
 func registerLoop(reg *metrics.Registry, l *rt.Loop) {
 	late := reg.Histogram("timer_late_ns")
 	l.OnLate(func(by sim.Time) { late.Observe(int64(by)) })
-	reg.Func("timer_precise", func() int64 {
-		if l.Precise() {
-			return 1
-		}
-		return 0
-	})
 	reg.Func("alarm_arms", l.Arms)
 	reg.Func("loop_wakes", l.Wakes)
 	reg.Func("loop_turns", l.Turns)
@@ -212,7 +185,7 @@ type CESConfig struct {
 type CES struct {
 	cfg    CESConfig
 	loop   *rt.Loop
-	inbox  *rt.Inbox[wire.Msg] // every TCP connection's, and a UDP reader's if the loop is not Polled
+	onMsg  func(*wire.Msg) // onMessage, bound once: every socket's drain hands it its messages
 	ep     *transport.Endpoint
 	tcp    *transport.TCPServer
 	ob     *core.OrderingBuffer
@@ -230,14 +203,17 @@ type CES struct {
 	// ids it hosts); peers finds one participant by id (an exec's owner,
 	// a heartbeat's sender) as peers[id-peerBase]. egress[i] is what this
 	// loop turn has queued for eps[i]. nextTick is the deadline of the
-	// market-data tick that is armed.
-	buf      []byte
-	addrs    []netip.AddrPort
-	eps      []netip.AddrPort
-	egress   []egressQueue
-	peers    []peer
-	peerBase int
-	nextTick sim.Time
+	// market-data tick that is armed. genTimes and genPoints are each
+	// point's generation time (the OB's GenTime) and the point (retransmit).
+	buf       []byte
+	addrs     []netip.AddrPort
+	eps       []netip.AddrPort
+	egress    []egressQueue
+	peers     []peer
+	peerBase  int
+	nextTick  sim.Time
+	genTimes  []sim.Time
+	genPoints []market.DataPoint
 
 	// RTT probing (loop goroutine only, except the Prober internals
 	// which are safe anywhere).
@@ -245,9 +221,7 @@ type CES struct {
 	probers  []*transport.Prober
 	proberOf map[market.ParticipantID]*transport.Prober
 
-	mu        sync.Mutex
-	genTimes  []sim.Time
-	genPoints []market.DataPoint
+	mu        sync.Mutex // guards forwarded and execs, which other goroutines read
 	forwarded []*market.Trade
 	execs     int
 
@@ -318,7 +292,7 @@ func NewCES(cfg CESConfig) (*CES, error) {
 		buf:      make([]byte, 0, wire.MaxSize),
 		proberOf: make(map[market.ParticipantID]*transport.Prober),
 	}
-	c.inbox = rt.NewInbox(c.loop, c.onMessage)
+	c.onMsg = c.onMessage
 	c.m = cesMetrics{
 		dataPoints: c.reg.Counter("data_points"), batchesSealed: c.reg.Counter("batches_sealed"),
 		tradesReceived: c.reg.Counter("trades_received"), heartbeatsReceived: c.reg.Counter("heartbeats_received"),
@@ -352,8 +326,14 @@ func NewCES(cfg CESConfig) (*CES, error) {
 func (c *CES) TCPAddr() net.Addr { return c.tcp.Addr() }
 
 // Start wires the participant set and begins generating market data. A
-// CES whose Start fails has closed both its listeners.
+// CES whose Start fails has closed both its listeners; where there is no
+// loop to run it on, Start fails with an error wrapping
+// errors.ErrUnsupported.
 func (c *CES) Start(mps []MPAddr) error {
+	if !rt.Supported() {
+		c.closeListeners()
+		return errUnsupported
+	}
 	if len(mps) == 0 {
 		c.closeListeners()
 		return fmt.Errorf("node: CES needs at least one MP")
@@ -448,16 +428,15 @@ func (c *CES) Start(mps []MPAddr) error {
 				if !ok {
 					return -1
 				}
-				c.mu.Lock()
-				gen := int64(len(c.genPoints))
-				c.mu.Unlock()
-				return gen - int64(wm.Point)
+				return int64(len(c.genPoints)) - int64(wm.Point)
 			})
 		})
 	}
-	readUDP(c.loop, c.ep, c.onMessage, c.inbox)
-	go c.loop.Run()
-	go c.tcp.ServeMsg(cross(c.inbox)) //nolint:errcheck // returns nil on Close
+	// Watch fails only once the loop runs; Run, only if descriptors run
+	// out, and then the loop stops.
+	c.loop.Watch(c.ep.RawConn(), func() bool { return c.ep.Drain(c.onMsg, readBudget) }) //nolint:errcheck
+	c.loop.Watch(c.tcp.RawConn(), c.accept)                                              //nolint:errcheck
+	go c.loop.Run()                                                                      //nolint:errcheck
 	c.loop.Schedule(0, (*cesTicker)(c), 0)
 	c.scheduleOBTick()
 	if c.cfg.ProbeInterval > 0 {
@@ -513,13 +492,11 @@ func (c *CES) scheduleProbes() {
 // udp_rx_dropped — datagrams it dropped at the socket — udp_rx_errors —
 // its failed reads — and gso_disabled — 1 once the egress queues go out
 // one syscall per record because the platform or the kernel refused a
-// segmented send, else 0; timer_precise — 1 when the loop is woken for
-// its timers by a timerfd, 0 when by a runtime timer, up to a
-// millisecond late on an idle process — alarm_arms — the times that
-// alarm has been set, a system call each when timer_precise — and
-// loop_wakes and loop_turns — the times the loop has been woken from a
-// sleep, and the turns it has begun; the loop-served gauges read -1 once
-// the node has stopped), and histograms
+// segmented send, else 0; alarm_arms — the times the loop's alarm, a
+// timerfd, has been set, a system call each — and loop_wakes and
+// loop_turns — the times the loop has been woken from a sleep, and the
+// turns it has begun; the loop-served gauges read -1 once the node has
+// stopped), and histograms
 // (ob_hold_ns, response_ns, hb_staleness_ns, probe_rtt_ns, and
 // timer_late_ns — how far past its deadline each loop timer fired). Mount
 // Metrics().Handler() (JSON) or Metrics().PromHandler() (Prometheus
@@ -566,9 +543,32 @@ func (c *CES) closeListeners() {
 	c.tcp.Close()
 }
 
+// accept is the TCP listener's drain: it has the loop read each waiting
+// connection until its stream ends (TCPConn.Drain counts how), then stop
+// reading it and close it.
+func (c *CES) accept() bool {
+	for i := 0; i < readBudget; i++ {
+		tc, err := c.tcp.Accept()
+		if tc == nil || err != nil {
+			return false // none waiting; a failed accept is tried again when the listener is next readable
+		}
+		drain := func() bool {
+			more, err := tc.Drain(c.onMsg, readBudget)
+			if err != nil {
+				c.loop.Unwatch(tc.RawConn())
+				tc.Close() //nolint:errcheck // the stream has ended
+			}
+			return more
+		}
+		if c.loop.Watch(tc.RawConn(), drain) != nil {
+			tc.Close() //nolint:errcheck // never read
+		}
+	}
+	return true
+}
+
+// genTime is the OB's GenTime: when point p was generated, on the loop.
 func (c *CES) genTime(p market.PointID) sim.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if p == 0 || int(p) > len(c.genTimes) {
 		return 0
 	}
@@ -608,10 +608,8 @@ func (c *CES) tick(i int) {
 	} else {
 		dp.Price, dp.Qty = q.Ask, q.AskSize
 	}
-	c.mu.Lock()
 	c.genTimes = append(c.genTimes, now)
 	c.genPoints = append(c.genPoints, dp)
-	c.mu.Unlock()
 	c.m.dataPoints.Inc()
 	if last {
 		c.m.batchesSealed.Inc()
@@ -668,11 +666,11 @@ func (c *CES) peerOf(id market.ParticipantID) *peer {
 }
 
 // onMessage dispatches reverse-path traffic (loop goroutine). m is the
-// endpoint's or an inbox slot, valid for this call only.
+// endpoint's or a TCP connection's, valid for this call only.
 func (c *CES) onMessage(m *wire.Msg) {
 	switch m.Type {
 	case wire.TTrade:
-		//dbo:vet-ignore allocfree the one allocation a trade costs: the OB queue and Forwarded() keep it, so it is copied out of the inbox slot
+		//dbo:vet-ignore allocfree the one allocation a trade costs: the OB queue and Forwarded() keep it, so it is copied out of the reader's Msg
 		t := new(market.Trade)
 		*t = m.Trade
 		t.Ctx.Hop++ // network ingress at the CES node
@@ -727,14 +725,8 @@ func (c *CES) retransmit(r core.RetxRequest) {
 		c.reg.Counter("retx_rejected").Inc()
 		return
 	}
-	c.mu.Lock()
-	var pts []market.DataPoint
-	if to := min(r.To, market.PointID(len(c.genPoints))); r.From <= to {
-		pts = slices.Clone(c.genPoints[r.From-1 : to])
-	}
-	c.mu.Unlock()
-	for _, dp := range pts {
-		c.buf = wire.AppendMarketData(c.buf[:0], dp)
+	for i := r.From; i <= min(r.To, market.PointID(len(c.genPoints))); i++ {
+		c.buf = wire.AppendMarketData(c.buf[:0], c.genPoints[i-1])
 		c.enqueue(p.ep)
 	}
 }
@@ -963,7 +955,12 @@ type mpMetrics struct {
 }
 
 // StartMP binds the participant's socket and starts its release buffer.
+// Where there is no loop to run it on it fails with an error wrapping
+// errors.ErrUnsupported.
 func StartMP(cfg MPConfig) (*MP, error) {
+	if !rt.Supported() {
+		return nil, errUnsupported
+	}
 	if cfg.Strategy == nil {
 		return nil, fmt.Errorf("node: MP needs a Strategy")
 	}
@@ -1016,8 +1013,11 @@ func StartMP(cfg MPConfig) (*MP, error) {
 		// nothing of the batch; OnDeliver and the Auditor are held to the same.
 		RecycleBatches: true,
 	})
-	readUDP(m.loop, m.ep, m.onMessage, nil)
-	go m.loop.Run()
+	// As the CES's; onMessage is bound once, since a method value taken
+	// per drain allocates.
+	onMsg := m.onMessage
+	m.loop.Watch(m.ep.RawConn(), func() bool { return m.ep.Drain(onMsg, readBudget) }) //nolint:errcheck
+	go m.loop.Run()                                                                    //nolint:errcheck
 	m.loop.Post(m.rb.Start)
 	return m, nil
 }
@@ -1029,7 +1029,7 @@ func (m *MP) Addr() *net.UDPAddr { return m.ep.LocalAddr() }
 // (batches_delivered, trades_submitted, fills, probes_reflected,
 // data_rejected), the socket gauges socket_rcvbuf_bytes,
 // socket_sndbuf_bytes, udp_rx_dropped and udp_rx_errors, the loop's
-// timer_precise, alarm_arms, loop_wakes and loop_turns (see
+// alarm_arms, loop_wakes and loop_turns (see
 // CES.Metrics), and histograms
 // (delivery_gap_ns — inter-batch pacing on this node's clock —
 // response_ns and timer_late_ns). Mount Metrics().Handler() or
@@ -1077,7 +1077,7 @@ func (m *MP) write() {
 }
 
 // onMessage dispatches forward-path traffic (loop goroutine). msg is
-// the endpoint's or an inbox slot, valid for this call only.
+// the endpoint's, valid for this call only.
 func (m *MP) onMessage(msg *wire.Msg) {
 	switch msg.Type {
 	case wire.TMarketData:

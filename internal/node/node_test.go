@@ -2,8 +2,10 @@ package node
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http/httptest"
 	"runtime"
 	"runtime/pprof"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"dbo/internal/market"
+	"dbo/internal/wire"
 )
 
 // rtOf assigns each (participant, point) a deterministic response time:
@@ -398,23 +401,23 @@ func TestLiveClusterTCPReversePath(t *testing.T) {
 }
 
 // TestStopLeavesNoGoroutines is the lifecycle oracle for every `go`
-// statement under internal/, and it pins what a node costs: on a loop
-// that reads its own socket (rt.Loop.Polled) a started MP is one
-// goroutine, its loop, and a started CES two, its loop and its TCP
-// acceptor, plus one per TCP connection. The cluster is a CES and two
-// MPs, one on the UDP reverse path and one on framed TCP. After traffic
-// has flowed and everything is stopped, the goroutine count must return
-// to where it started. Neither Start nor Stop waits for the goroutines
-// it starts or tells to exit, hence the polls.
+// statement under internal/, and it pins what a node costs: a started MP
+// is one goroutine, its loop, and so is a started CES, however many TCP
+// connections its loop reads. The cluster is a CES and two MPs, one on
+// the UDP reverse path and one on framed TCP; two more connections are
+// dialled while it runs, and the TCP peers hang up before the end. After
+// traffic has flowed and everything is stopped, the goroutine count must
+// return to where it started. Neither Start nor Stop waits for the
+// goroutines it starts or tells to exit, hence the polls.
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live cluster test needs real time")
 	}
-	// wait polls until ok holds of the goroutine count, for up to five
-	// seconds, and fails printing every stack if it never does.
-	wait := func(ok func(n int) bool, what string) {
+	// wait polls until ok holds, for up to five seconds, and fails
+	// printing every stack if it never does.
+	wait := func(ok func() bool, what string) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); !ok(runtime.NumGoroutine()); time.Sleep(5 * time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(5 * time.Millisecond) {
 			if time.Now().After(deadline) {
 				var stacks bytes.Buffer
 				pprof.Lookup("goroutine").WriteTo(&stacks, 1) //nolint:errcheck // a bytes.Buffer does not fail
@@ -431,7 +434,7 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 	}
 	pin := func(add int, what string) {
 		t.Helper()
-		wait(func(n int) bool { return n == before+add }, fmt.Sprintf("%s: want %d + %d", what, before, add))
+		wait(func() bool { return runtime.NumGoroutine() == before+add }, fmt.Sprintf("%s: want %d + %d", what, before, add))
 	}
 
 	ces, err := NewCES(CESConfig{
@@ -441,7 +444,6 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	polled := ces.loop.Polled()
 	var mps []*MP
 	var addrs []MPAddr
 	for id := market.ParticipantID(1); id <= 2; id++ {
@@ -458,23 +460,77 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 		}
 		mps = append(mps, mp)
 		addrs = append(addrs, MPAddr{ID: id, Addr: mp.Addr().String()})
-		if polled {
-			pin(len(mps), fmt.Sprintf("%d started MPs", len(mps)))
-		}
+		pin(len(mps), fmt.Sprintf("%d started MPs", len(mps)))
 	}
 	if err := ces.Start(addrs); err != nil {
 		t.Fatal(err)
 	}
-	if polled {
-		pin(len(mps)+2+1, "two MPs, a started CES and its one TCP connection")
-	}
+	wait(func() bool { return ces.tcp.Received() > 0 }, "MP 2's TCP connection is read")
+	pin(len(mps)+1, "two MPs and a started CES reading one TCP connection")
+
+	raws := []net.Conn{dialTCP(t, ces), dialTCP(t, ces)}
+	pin(len(mps)+1, "two MPs and a started CES reading three TCP connections")
 	waitForward(t, ces, 2*4, 10*time.Second)
 
+	// Every TCP peer hangs up: the CES reads none, and still runs.
+	raws[0].Close()
+	raws[1].Close()
+	mps[1].Stop()
+	wait(func() bool { clean, _ := ces.tcp.ConnStats(); return clean == 3 }, "three clean hang-ups")
+	pin(2, "one MP and a started CES reading no TCP connection")
+
 	ces.Stop()
-	for _, mp := range mps {
-		mp.Stop()
+	mps[0].Stop()
+	wait(func() bool { return runtime.NumGoroutine() <= before }, fmt.Sprintf("five seconds after Stop, want at most %d", before))
+}
+
+// dialTCP dials the CES's TCP listener and returns once the CES has read
+// what it writes: a retransmission request from 0, which no MP sends, so
+// retx_rejected counts it.
+func dialTCP(t testing.TB, ces *CES) net.Conn {
+	t.Helper()
+	raw, err := net.Dial("tcp", ces.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	wait(func(n int) bool { return n <= before }, fmt.Sprintf("five seconds after Stop, want at most %d", before))
+	t.Cleanup(func() { raw.Close() })
+	rejected := ces.Metrics().Counter("retx_rejected")
+	want := rejected.Value() + 1
+	if _, err := raw.Write(frame(wire.AppendRetx(nil, wire.Retx{MP: 1}))); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); rejected.Value() < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the CES never read a dialled connection")
+		}
+	}
+	return raw
+}
+
+// frame is b as one framed-TCP message: its length, then b.
+func frame(b []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(b))), b...)
+}
+
+// A TCP peer that hangs up mid-run is read to its end, counted as a clean
+// close, unwatched and closed: the descriptors are those before the
+// dial, and the CES goes on forwarding what its UDP socket brings.
+func TestTCPPeerHangUpIsUnwatched(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live ingest needs real sockets and real time")
+	}
+	f := startIngestFleet(t, 2)
+	f.run(t, 2, 8)
+	before := openFDs()
+	dialTCP(t, f.ces).Close()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if c, e := f.ces.tcp.ConnStats(); c == 1 && e == 0 && openFDs() == before {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("after the hang-up: conn stats (%d, %d), want (1, 0); %d descriptors, %d before the dial", c, e, openFDs(), before)
+		}
+	}
+	f.run(t, 2, 8)
 }
 
 func TestMetricsRegistryAndHTTPScrape(t *testing.T) {
@@ -512,9 +568,6 @@ func TestMetricsRegistryAndHTTPScrape(t *testing.T) {
 	}
 	// The loop's own rows: its timers have fired, so the alarm has been
 	// set and their lateness observed.
-	if _, ok := snap["timer_precise"]; !ok {
-		t.Error("timer_precise func metric missing")
-	}
 	if snap["alarm_arms"] == 0 || snap["timer_late_ns_count"] == 0 {
 		t.Errorf("alarm_arms = %d, timer_late_ns_count = %d after four ticks", snap["alarm_arms"], snap["timer_late_ns_count"])
 	}

@@ -4,8 +4,9 @@ package rt
 
 import (
 	"encoding/binary"
+	"errors"
+	"net"
 	"os"
-	"sync"
 	"syscall"
 	"time"
 	"unsafe"
@@ -37,16 +38,6 @@ type epollSet struct {
 	n            int // events in evs from the last look
 }
 
-// pollable reports, once per process, whether the kernel gives an
-// epollSet.
-var pollable = sync.OnceValue(func() bool {
-	s := openEpoll(nil)
-	if s != nil {
-		s.close()
-	}
-	return s != nil
-})
-
 // openEpoll returns the set with ws registered, or nil if the kernel
 // refuses any part of it.
 func openEpoll(ws []watch) *epollSet {
@@ -70,7 +61,10 @@ func openEpoll(ws []watch) *epollSet {
 		syscall.SetNonblock(s.kfd, true) == nil && syscall.SetNonblock(s.tfd, true) == nil &&
 		s.add(s.kfd, kickToken) == nil && s.add(s.tfd, alarmToken) == nil
 	for i := 0; ok && i < len(ws); i++ {
-		ok = ws[i].rc.Control(func(fd uintptr) { err = s.add(int(fd), i) }) == nil && err == nil
+		// A socket already closed is left out: Stop may close a node's
+		// sockets before its Run gets here, and the loop then returns.
+		err := s.watch(ws[i].rc, i)
+		ok = err == nil || errors.Is(err, net.ErrClosed)
 	}
 	if !ok {
 		s.close()
@@ -80,6 +74,20 @@ func openEpoll(ws []watch) *epollSet {
 	binary.NativeEndian.PutUint64(s.one[:], 1)
 	s.look = s.ready
 	return s
+}
+
+// watch adds rc's socket to the set under token i (its Loop.watches
+// slot).
+func (s *epollSet) watch(rc syscall.RawConn, i int) error {
+	var err error
+	cerr := rc.Control(func(fd uintptr) { err = s.add(int(fd), i) })
+	return errors.Join(cerr, err)
+}
+
+// unwatch takes rc's socket out of the set; Control fails only once the
+// socket is closed, which took it out.
+func (s *epollSet) unwatch(rc syscall.RawConn) {
+	rc.Control(func(fd uintptr) { syscall.EpollCtl(s.fd, syscall.EPOLL_CTL_DEL, int(fd), nil) }) //nolint:errcheck
 }
 
 func (s *epollSet) add(fd, token int) error {
@@ -110,7 +118,7 @@ func (s *epollSet) wait(block bool, ws []watch) {
 		case alarmToken:
 			syscall.Read(s.tfd, s.buf[:]) //nolint:errcheck // EAGAIN: already clear
 		default:
-			ws[ev.Fd].ready = true
+			ws[ev.Fd].ready = ws[ev.Fd].rc != nil
 		}
 	}
 	s.n = 0

@@ -2,14 +2,18 @@
 
 package rt
 
-import "time"
+import (
+	"syscall"
+	"time"
+)
 
-// epollSet does not exist here: every loop runs on the fallback.
+// epollSet does not exist here, so openEpoll refuses every loop.
 type epollSet struct{}
 
-func pollable() bool                     { return false }
-func openEpoll([]watch) *epollSet        { return nil }
-func (*epollSet) setAlarm(time.Duration) {}
-func (*epollSet) wait(bool, []watch)     {}
-func (*epollSet) kick()                  {}
-func (*epollSet) close()                 {}
+func openEpoll([]watch) *epollSet                  { return nil }
+func (*epollSet) watch(syscall.RawConn, int) error { return nil }
+func (*epollSet) unwatch(syscall.RawConn)          {}
+func (*epollSet) setAlarm(time.Duration)           {}
+func (*epollSet) wait(bool, []watch)               {}
+func (*epollSet) kick()                            {}
+func (*epollSet) close()                           {}

@@ -16,57 +16,6 @@ import (
 	"dbo/internal/wire"
 )
 
-// onFallback runs f with every loop it makes off the epoll set — a
-// channel for wake-ups and a runtime timer for the alarm — as on a
-// platform without one.
-func onFallback(t *testing.T, f func(*testing.T)) {
-	coarse.Store(true)
-	defer coarse.Store(false)
-	f(t)
-}
-
-// Every test that has a loop sleep, once more on the fallback: elsewhere
-// than Linux it is the only way a loop sleeps there is.
-func TestTimersOnTheFallback(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		f    func(*testing.T)
-	}{
-		{"AtFiresNearDeadline", TestAtFiresNearDeadline},
-		{"AtInPastRunsPromptly", TestAtInPastRunsPromptly},
-		{"TimersFireInOrder", TestTimersFireInOrder},
-		{"EqualDeadlinesFireInAtOrder", TestEqualDeadlinesFireInAtOrder},
-		{"TimerScheduledFromHandler", TestTimerScheduledFromHandler},
-		{"StopIdempotentAndHaltsRun", TestStopIdempotentAndHaltsRun},
-		{"ScheduleFiresHandlerWithArg", TestScheduleFiresHandlerWithArg},
-		{"ScheduleInThePastClampsToNow", TestScheduleInThePastClampsToNow},
-		{"LoopScheduleZeroAlloc", TestLoopScheduleZeroAlloc},
-		{"InboxWakesSleepingLoop", TestInboxWakesSleepingLoop},
-		{"EndOfTurnRunsAfterInboxAndTimers", TestEndOfTurnRunsAfterInboxAndTimers},
-		{"EndOfTurnZeroAlloc", TestEndOfTurnZeroAlloc},
-		{"ArmOnlyForAnEarlierDeadline", TestArmOnlyForAnEarlierDeadline},
-		{"ArmZeroAlloc", TestArmZeroAlloc},
-		{"TimerLatenessUnderAQuantum", TestTimerLatenessUnderAQuantum},
-		{"RunLeavesNoGoroutineOrDescriptor", TestRunLeavesNoGoroutineOrDescriptor},
-		{"KickNeverStrandsASleepingLoop", TestKickNeverStrandsASleepingLoop},
-		{"WatchWakesSleepingLoop", TestWatchWakesSleepingLoop},
-		{"SocketFloodDoesNotStarveTimers", TestSocketFloodDoesNotStarveTimers},
-	} {
-		t.Run(tc.name, func(t *testing.T) { onFallback(t, tc.f) })
-	}
-}
-
-// running returns a started loop whose Run has made its poller, so
-// Precise and Arms read what the loop will use.
-func running(t *testing.T) *Loop {
-	t.Helper()
-	l := startLoop(t)
-	up := make(chan struct{})
-	l.Post(func() { close(up) })
-	<-up
-	return l
-}
-
 // lateness fires n timers of duration d, one at a time, on an otherwise
 // idle loop — the state in which the runtime rounds a timer up to its
 // poller's millisecond — and returns their sorted lateness as OnLate
@@ -96,17 +45,16 @@ func lateness(t *testing.T, d time.Duration, n int) []time.Duration {
 }
 
 // A timer on an idle loop fires well inside a scheduling quantum of its
-// deadline. On the runtime timer this reads 0.8–1.0 ms for both
-// durations: under a millisecond it is rounded up to one, over it the
-// sub-millisecond rest is. The log is the point on a CI runner: it says
-// which alarm the runner has.
+// deadline. A runtime timer read 0.8–1.0 ms for both durations: under a
+// millisecond it is rounded up to one, over it the sub-millisecond rest
+// is. The log is the point on a CI runner: it says how late its timerfd
+// wakes a loop.
 func TestTimerLatenessUnderAQuantum(t *testing.T) {
-	precise := running(t).Precise()
 	for _, d := range []time.Duration{300 * time.Microsecond, 1300 * time.Microsecond} {
 		late := lateness(t, d, 50)
 		p50 := late[len(late)/2]
-		t.Logf("precise=%v %v timer: late p10 %v p50 %v p90 %v", precise, d, late[len(late)/10], p50, late[len(late)*9/10])
-		if precise && p50 >= 400*time.Microsecond {
+		t.Logf("%v timer: late p10 %v p50 %v p90 %v", d, late[len(late)/10], p50, late[len(late)*9/10])
+		if p50 >= 400*time.Microsecond {
 			t.Errorf("%v timer: median lateness %v on a timerfd, want < 400µs", d, p50)
 		}
 	}
@@ -118,18 +66,18 @@ func TestTimerLatenessUnderAQuantum(t *testing.T) {
 func TestArmOnlyForAnEarlierDeadline(t *testing.T) {
 	l := NewLoop()
 	handled := make(chan struct{}, 1)
-	in := NewInbox(l, func(*msg) { handled <- struct{}{} })
+	handle := func() { handled <- struct{}{} }
 	// Each timer reports how often the alarm had been set when it fired.
 	slow, quick := make(chan int64, 1), make(chan int64, 1)
 	l.At(l.Now()+sim.FromDuration(50*time.Millisecond), func() { slow <- l.Arms() })
 	go l.Run()
 	t.Cleanup(l.Stop)
 	for i := 0; i < 100; i++ {
-		in.Put(&msg{n: i})
+		l.Post(handle)
 		<-handled
 	}
 	asleep := make(chan struct{})
-	l.Post(func() { close(asleep) }) // the turn after the last value's has ended in a sleep
+	l.Post(func() { close(asleep) }) // the turn after the last post's has ended in a sleep
 	<-asleep
 	if got := l.Arms(); got != 1 {
 		t.Fatalf("alarm set %d times over 100 message-woken sleeps with one timer pending, want 1", got)
@@ -156,12 +104,14 @@ func TestArmOnlyForAnEarlierDeadline(t *testing.T) {
 
 func TestArmZeroAlloc(t *testing.T) {
 	l := NewLoop()
-	l.open(nil)
-	defer l.close()
+	if l.set = openEpoll(nil); l.set == nil {
+		t.Fatal("the kernel refused an epoll set")
+	}
+	defer l.set.close()
 	at := l.Now() + sim.FromDuration(time.Hour)
 	if n := testing.AllocsPerRun(100, func() {
 		at -= sim.FromDuration(time.Second) // ever earlier: each call sets it
-		l.arm(l.Now(), at, false)
+		l.arm(l.Now(), at)
 	}); n != 0 {
 		t.Fatalf("%.2f allocations per arm, want 0", n)
 	}
@@ -176,9 +126,7 @@ func TestArmZeroAlloc(t *testing.T) {
 // [syscall] and keeps its P from the rest of the process until sysmon
 // retakes it.
 func TestLoopParksInTheNetpoller(t *testing.T) {
-	if !running(t).Precise() {
-		t.Skip("no epoll set here: the loop sleeps on a channel")
-	}
+	startLoop(t)
 	var loop string
 	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		buf := make([]byte, 1<<16)
@@ -196,8 +144,9 @@ func TestLoopParksInTheNetpoller(t *testing.T) {
 }
 
 // Run makes its poller and Run closes it: a hundred loops, each watching
-// a socket, later the process has the goroutines and descriptors it
-// started with. A loop that is never run opens nothing.
+// a socket and, while it runs, watching and unwatching a second, later
+// the process has the goroutines and descriptors it started with. A loop
+// that is never run opens nothing.
 func TestRunLeavesNoGoroutineOrDescriptor(t *testing.T) {
 	fds := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -210,7 +159,8 @@ func TestRunLeavesNoGoroutineOrDescriptor(t *testing.T) {
 	cycle := func() {
 		l := NewLoop()
 		read := make(chan struct{}, 1)
-		ep := watchEndpoint(t, l, 8, func(*wire.Msg) { read <- struct{}{} })
+		h := func(*wire.Msg) { read <- struct{}{} }
+		ep := watchEndpoint(t, l, 8, h)
 		stopped := make(chan struct{})
 		go func() { l.Run(); close(stopped) }()
 		fired := make(chan struct{})
@@ -220,6 +170,23 @@ func TestRunLeavesNoGoroutineOrDescriptor(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-read
+		late, err := transport.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		watched := make(chan error, 1)
+		l.Post(func() { watched <- l.Watch(late.RawConn(), func() bool { return late.Drain(h, 8) }) })
+		if err := <-watched; err != nil {
+			t.Fatal(err)
+		}
+		if err := late.Write(hb, late.LocalAddr().AddrPort()); err != nil {
+			t.Fatal(err)
+		}
+		<-read
+		l.Post(func() { l.Unwatch(late.RawConn()); watched <- late.Close() })
+		if err := <-watched; err != nil {
+			t.Fatal(err)
+		}
 		l.Stop()
 		<-stopped
 		ep.Close()
@@ -257,7 +224,7 @@ func watchEndpoint(t testing.TB, l *Loop, budget int, h func(*wire.Msg)) *transp
 // Every way of handing a loop work from another goroutine wakes it when
 // it is asleep, however the hand-over interleaves with its going to
 // sleep. Eight goroutines take turns handing it a thousand items each —
-// Put, Post and Schedule in rotation — one item at a time: the one whose
+// Post and Schedule in rotation — one item at a time: the one whose
 // turn it is spins until its last item has been handled and hands the
 // next over at once, while the loop is finishing that turn or going to
 // sleep; between turns the loop sleeps. An item handed over between the
@@ -277,7 +244,6 @@ func TestKickNeverStrandsASleepingLoop(t *testing.T) {
 		default:
 		}
 	}
-	in := NewInbox(l, func(*int) { note() })
 	sched := sim.Func(note)
 	go l.Run()
 	t.Cleanup(l.Stop)
@@ -306,17 +272,14 @@ func TestKickNeverStrandsASleepingLoop(t *testing.T) {
 	stranded := make(chan string, 1)
 	for p := 0; p < producers; p++ {
 		go func() {
-			one := 1
 			for r := 0; r < each/run; r++ {
 				i, ok := <-turn[p]
 				if !ok {
 					return
 				}
 				for end := i + run; i < end; i++ {
-					how := [...]string{"Put", "Post", "Schedule"}[i%3]
+					how := [...]string{"Post", "Schedule"}[i%2]
 					switch how {
-					case "Put":
-						in.Put(&one)
 					case "Post":
 						l.Post(note)
 					case "Schedule":
@@ -375,7 +338,7 @@ func TestWatchWakesSleepingLoop(t *testing.T) {
 			t.Fatalf("datagram %d did not wake the loop", i)
 		}
 	}
-	if l.Polled() && l.Wakes() < 3 {
+	if l.Wakes() < 3 {
 		t.Fatalf("%d wakes for three datagrams to a sleeping loop", l.Wakes())
 	}
 }

@@ -6,22 +6,25 @@
 //
 // Every node of the live deployment (internal/node) owns one Loop. All
 // component state is touched only from the loop goroutine, which reads
-// the node's UDP socket itself (Watch); other goroutines — a TCP
-// connection's reader, a metrics scrape, start-up — hand work in through
-// an Inbox or Post. A node that gathers what a turn produced and sends it
-// together registers one end-of-turn func (OnTurnEnd). Each Loop's clock
-// starts at its own construction instant, so two nodes' clocks are
-// genuinely unsynchronized — exactly the regime DBO is designed for.
+// the node's sockets itself (Watch): its UDP socket, its TCP listener and
+// every connection accepted from it. Other goroutines — a metrics scrape,
+// start-up — hand work in through Post. A node that gathers what a turn
+// produced and sends it together registers one end-of-turn func
+// (OnTurnEnd). Each Loop's clock starts at its own construction instant,
+// so two nodes' clocks are genuinely unsynchronized — exactly the regime
+// DBO is designed for.
 //
 // A loop with nothing to do sleeps on one descriptor (poll_linux.go): an
 // epoll set in the runtime's netpoller that its sockets, its alarm (a
 // timerfd, tens of microseconds late) and the other goroutines' wake-ups
-// all make readable. Elsewhere than Linux it sleeps on a channel, its
-// alarm is a runtime timer, up to a millisecond late on an idle process,
-// and its sockets need reader goroutines (Polled, Precise, OnLate).
+// all make readable. Elsewhere than Linux, or where the kernel refuses
+// the set, there is no loop: Supported reports false and Run fails.
 package rt
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -35,49 +38,49 @@ import (
 type Loop struct {
 	start time.Time
 
-	mu      sync.Mutex
-	timers  sim.Queue // the kernel's queue: (at, push order), so equal deadlines fire in At order
-	msgs    []func()
-	boxes   []inbox        // every Inbox made for this loop, in NewInbox order
-	watches []watch        // every socket Watch registered, in Watch order
+	mu     sync.Mutex
+	timers sim.Queue // the kernel's queue: (at, push order), so equal deadlines fire in At order
+	msgs   []func()
+	done   chan struct{}
+	once   sync.Once
+
+	// Written before Run or on the loop goroutine only. watches is every
+	// socket Watch registered, indexed by the token the epoll set reports
+	// it under; Unwatch leaves a zero slot that the next Watch reuses.
+	watches []watch
 	end     func()         // OnTurnEnd's func, nil if none
 	late    func(sim.Time) // OnLate's func, nil if none
-	done    chan struct{}
-	once    sync.Once
 
 	// How Run sleeps. sleeping is set before Run's last look for work;
 	// set is Run's, written before sleeping is first set.
-	polled   bool
 	sleeping atomic.Bool
-	set      *epollSet     // nil on the fallback, which has wake and tm
-	wake     chan struct{} // the fallback's wake-up
-	tm       *time.Timer   // the fallback's alarm
-	armed    sim.Time      // the alarm's deadline; behind the clock once it has gone off
+	set      *epollSet
+	armed    sim.Time // the alarm's deadline; behind the clock once it has gone off
 
-	precise            atomic.Bool  // Run's alarm is a timerfd
 	arms, wakes, turns atomic.Int64 // times Run has set its alarm, been woken from a sleep, begun a turn
 }
 
-// coarse keeps NewLoop off the epoll set: the tests set it to run the
-// fallback on Linux too.
-var coarse atomic.Bool
-
 // watch is a socket Run reads on the loop goroutine (Loop.Watch).
 type watch struct {
-	rc    syscall.RawConn
+	rc    syscall.RawConn // nil in a free slot
 	drain func() (more bool)
-	ready bool // readable, or its last drain stopped at its budget; loop goroutine only
+	ready bool // readable, or its last drain stopped at its budget
 }
+
+// Supported reports, once per process, whether the kernel gives the
+// epoll set a Loop sleeps on: never elsewhere than Linux.
+var Supported = sync.OnceValue(func() bool {
+	s := openEpoll(nil)
+	if s != nil {
+		s.close()
+	}
+	return s != nil
+})
 
 // NewLoop returns a loop whose clock starts now. It opens no descriptor:
 // Run does.
 func NewLoop() *Loop {
-	return &Loop{
-		start:  time.Now(),
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-		polled: !coarse.Load() && pollable(),
-	}
+	return &Loop{start: time.Now(), done: make(chan struct{})}
 }
 
 // Now returns the loop's monotonic local time.
@@ -111,48 +114,47 @@ func (l *Loop) Post(fn func()) {
 // Watch has Run read a socket on the loop goroutine: each turn in which
 // rc's socket is readable calls drain, which reads without blocking, up
 // to a budget of its own, and reports whether it stopped with more to
-// read — then the next turn follows at once. Register before Run, and on
-// a Polled loop: elsewhere a watched socket is read every turn and every
-// millisecond, and a reader goroutine feeding an Inbox serves it better.
-func (l *Loop) Watch(rc syscall.RawConn, drain func() (more bool)) {
-	l.mu.Lock()
-	l.watches = append(l.watches, watch{rc: rc, drain: drain})
-	l.mu.Unlock()
+// read — then the next turn follows at once. Call it before Run or on
+// the loop goroutine; it fails only if the running loop's set refuses rc.
+func (l *Loop) Watch(rc syscall.RawConn, drain func() (more bool)) error {
+	i := slices.IndexFunc(l.watches, func(w watch) bool { return w.rc == nil })
+	if i < 0 {
+		i, l.watches = len(l.watches), append(l.watches, watch{})
+	}
+	if l.set != nil {
+		if err := l.set.watch(rc, i); err != nil {
+			return err
+		}
+	}
+	l.watches[i] = watch{rc: rc, drain: drain}
+	return nil
+}
+
+// Unwatch stops reading rc's socket. Call it on the loop goroutine,
+// before the socket is closed; a drain that unwatches its own socket
+// reports no more.
+func (l *Loop) Unwatch(rc syscall.RawConn) {
+	if i := slices.IndexFunc(l.watches, func(w watch) bool { return w.rc == rc }); i >= 0 {
+		l.set.unwatch(rc)
+		l.watches[i] = watch{}
+	}
 }
 
 // OnTurnEnd registers the loop's one end-of-turn func; register it
-// before Run, like an inbox. Run calls fn on the loop goroutine twice a
-// turn: once the posted messages, inboxes and sockets are drained, and
-// again once the due timers have fired — both produce work, and a
-// timer-only turn (a maintenance tick) must not wait for the next
-// message. It costs a nil check when none is registered and, unlike a
-// self-armed zero-delay timer, no lock, heap push or wake per turn.
-func (l *Loop) OnTurnEnd(fn func()) {
-	l.mu.Lock()
-	l.end = fn
-	l.mu.Unlock()
-}
+// before Run. Run calls fn on the loop goroutine twice a turn: once the
+// posted messages and the sockets are drained, and again once the due
+// timers have fired — both produce work, and a timer-only turn (a
+// maintenance tick) must not wait for the next message. It costs a nil
+// check when none is registered and, unlike a self-armed zero-delay
+// timer, no lock, heap push or wake per turn.
+func (l *Loop) OnTurnEnd(fn func()) { l.end = fn }
 
 // OnLate registers the loop's one lateness observer; register it before
 // Run. Run calls fn on the loop goroutine just before each due timer
 // fires, with how far past its deadline the turn that fires it began.
-func (l *Loop) OnLate(fn func(late sim.Time)) {
-	l.mu.Lock()
-	l.late = fn
-	l.mu.Unlock()
-}
+func (l *Loop) OnLate(fn func(late sim.Time)) { l.late = fn }
 
-// Polled reports whether Run will sleep on an epoll set that watched
-// sockets make readable: false elsewhere than Linux, or where the kernel
-// refuses the set.
-func (l *Loop) Polled() bool { return l.polled }
-
-// Precise reports whether the running loop is woken for its timers by a
-// timerfd and not by a runtime timer. False before Run.
-func (l *Loop) Precise() bool { return l.precise.Load() }
-
-// Arms counts the times Run has set its alarm: one system call each
-// when Precise.
+// Arms counts the times Run has set its alarm, one system call each.
 func (l *Loop) Arms() int64 { return l.arms.Load() }
 
 // Wakes counts the times Run has slept for want of work and been woken.
@@ -165,16 +167,8 @@ func (l *Loop) Turns() int64 { return l.turns.Load() }
 // look finds sleeping set; the first to clear it writes the one wake-up
 // (DESIGN §8.10). From the awake loop goroutine it is one load.
 func (l *Loop) kick() {
-	if !l.sleeping.Load() || !l.sleeping.CompareAndSwap(true, false) {
-		return
-	}
-	if l.set != nil {
+	if l.sleeping.Load() && l.sleeping.CompareAndSwap(true, false) {
 		l.set.kick()
-		return
-	}
-	select {
-	case l.wake <- struct{}{}:
-	default:
 	}
 }
 
@@ -193,45 +187,44 @@ func (l *Loop) stopped() bool {
 	case <-l.done:
 		return true
 	default:
-		return false
 	}
+	return false
 }
 
 // Run dispatches messages, sockets and timers until Stop. It owns the
-// calling goroutine.
-func (l *Loop) Run() {
-	l.mu.Lock()
-	ws := l.watches
-	l.mu.Unlock()
-	l.open(ws)
+// calling goroutine. If the kernel refuses the epoll set it sleeps on —
+// always where Supported is false, and where descriptors run out — Run
+// stops the loop and returns an error wrapping errors.ErrUnsupported.
+func (l *Loop) Run() error {
+	if l.set = openEpoll(l.watches); l.set == nil {
+		l.Stop()
+		return fmt.Errorf("rt: the kernel refused the loop's epoll set: %w", errors.ErrUnsupported)
+	}
+	l.armed = -1
 	defer l.close()
-	// Posted messages, inbox contents and due timers are each swapped out
-	// under the lock and run outside it. The buffers they are swapped
-	// into belong to this goroutine and are re-used every iteration.
+	// Posted messages and due timers are each swapped out under the lock
+	// and run outside it. The buffers they are swapped into belong to
+	// this goroutine and are re-used every iteration.
 	var msgs []func()
 	var due []sim.Event
+	end, late := l.end, l.late
 	for !l.stopped() {
 		l.turns.Add(1)
-		// Drain posted messages, inboxes and readable sockets first.
+		// Drain posted messages and readable sockets first. A drain may
+		// Watch or Unwatch, so the table is indexed afresh each time.
 		l.mu.Lock()
 		msgs, l.msgs = l.msgs, msgs[:0]
-		boxes, end, late := l.boxes, l.end, l.late
-		for _, b := range boxes {
-			b.swap()
-		}
 		l.mu.Unlock()
 		for i, fn := range msgs {
 			fn()
 			msgs[i] = nil
 		}
-		for _, b := range boxes {
-			b.drain()
-		}
 		more := false // a socket stopped at its budget
-		for i := range ws {
-			if ws[i].ready {
-				ws[i].ready = ws[i].drain()
-				more = more || ws[i].ready
+		for i := 0; i < len(l.watches); i++ {
+			if l.watches[i].ready {
+				r := l.watches[i].drain()
+				l.watches[i].ready = r
+				more = more || r
 			}
 		}
 		if end != nil {
@@ -253,9 +246,6 @@ func (l *Loop) Run() {
 			next = l.timers.MinAt()
 		}
 		idle := !more && len(due) == 0 && len(l.msgs) == 0
-		for _, b := range l.boxes {
-			idle = idle && !b.pending()
-		}
 		l.mu.Unlock()
 		if !idle {
 			l.sleeping.Store(false)
@@ -274,77 +264,35 @@ func (l *Loop) Run() {
 		// Sleep if idle (a Stop after the look above finds the loop
 		// asleep and wakes it); either way, find the readable sockets.
 		if idle {
-			l.arm(now, next, len(ws) > 0)
+			l.arm(now, next)
 		}
 		if l.stopped() {
-			return
+			return nil
 		}
-		l.wait(idle, ws)
+		l.set.wait(idle, l.watches)
 		if idle {
 			l.wakes.Add(1)
 			l.sleeping.Store(false)
 		}
 	}
-}
-
-// open gives Run what it sleeps on: the epoll set, or on the fallback a
-// runtime timer for the alarm and the channel wake for the kicks.
-func (l *Loop) open(ws []watch) {
-	if l.polled {
-		l.set = openEpoll(ws)
-	}
-	if l.set == nil {
-		l.tm = time.AfterFunc(time.Hour, l.kick)
-	}
-	l.precise.Store(l.set != nil)
-	l.armed = -1
+	return nil
 }
 
 func (l *Loop) close() {
 	l.sleeping.Store(false)
-	if l.set != nil {
-		l.set.close()
-	} else {
-		l.tm.Stop()
-	}
+	l.set.close()
 }
 
 // arm sets the alarm to go off at deadline, which is after now — unless
 // it is already set for some moment between the two: going off early
 // costs the loop one empty turn, setting it again a system call, and a
 // loop that messages keep waking sleeps far more often than its deadline
-// moves up. On the fallback nothing says a watched socket is readable,
-// so the alarm goes off at least once a millisecond.
-func (l *Loop) arm(now, deadline sim.Time, watching bool) {
-	if l.set == nil && watching {
-		deadline = min(deadline, now+sim.FromDuration(time.Millisecond))
-	}
+// moves up.
+func (l *Loop) arm(now, deadline sim.Time) {
 	if now < l.armed && l.armed <= deadline {
 		return
 	}
 	l.armed = deadline
 	l.arms.Add(1)
-	if wait := time.Duration(deadline - now); l.set != nil {
-		l.set.setAlarm(wait)
-	} else {
-		l.tm.Reset(wait)
-	}
-}
-
-// wait returns once the loop is woken if block, at once otherwise, and
-// marks the watched sockets that are readable.
-func (l *Loop) wait(block bool, ws []watch) {
-	if l.set != nil {
-		l.set.wait(block, ws)
-		return
-	}
-	if block {
-		select {
-		case <-l.done:
-		case <-l.wake:
-		}
-	}
-	for i := range ws {
-		ws[i].ready = true
-	}
+	l.set.setAlarm(time.Duration(deadline - now))
 }

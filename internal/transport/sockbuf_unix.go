@@ -2,7 +2,13 @@
 
 package transport
 
-import "syscall"
+import (
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"syscall"
+)
 
 // RcvBuf reports the socket's effective receive buffer in bytes — what
 // the kernel granted of the size Listen asked for — or 0 if it cannot
@@ -29,12 +35,46 @@ func (e *Endpoint) sockBuf(opt int) int64 {
 	return int64(n)
 }
 
-// readRaw is one non-blocking read(2) of a datagram, without its source;
-// n is negative when the socket is empty.
+// readRaw is one non-blocking read(2): a datagram without its source,
+// or what a stream socket holds (0 at its end). n is negative when the
+// socket is empty, and 0 when the read fails.
 func readRaw(fd uintptr, b []byte) (n int, err error) {
 	n, err = syscall.Read(int(fd), b)
-	if err == syscall.EAGAIN {
+	switch {
+	case err == syscall.EAGAIN:
 		return -1, nil
+	case err != nil:
+		return 0, err
 	}
-	return n, err
+	return n, nil
+}
+
+// acceptRaw takes one pending connection off a listening socket without
+// waiting, and nil when none is pending. A listener's RawConn.Read fails
+// (EINVAL), so the accept(2) runs under Control.
+func acceptRaw(rc syscall.RawConn) (*net.TCPConn, error) {
+	nfd := -1
+	var aerr error
+	err := rc.Control(func(fd uintptr) {
+		syscall.ForkLock.RLock() // no exec between accept and close-on-exec
+		if nfd, _, aerr = syscall.Accept(int(fd)); aerr == nil {
+			syscall.CloseOnExec(nfd)
+		}
+		syscall.ForkLock.RUnlock()
+	})
+	if aerr == syscall.EAGAIN || aerr == syscall.ECONNABORTED {
+		return nil, nil
+	}
+	if err = errors.Join(err, aerr); err != nil {
+		return nil, fmt.Errorf("transport: accept: %w", err)
+	}
+	f := os.NewFile(uintptr(nfd), "tcp")
+	conn, err := net.FileConn(f) // a duplicate: f's own descriptor is closed either way
+	if err = errors.Join(err, f.Close()); err != nil {
+		if conn != nil {
+			err = errors.Join(err, conn.Close())
+		}
+		return nil, fmt.Errorf("transport: accept: %w", err)
+	}
+	return conn.(*net.TCPConn), nil
 }

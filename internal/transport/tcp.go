@@ -1,15 +1,15 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
-	"net/netip"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"dbo/internal/wire"
 )
@@ -24,42 +24,15 @@ import (
 // maxFrame bounds a frame to catch corrupt prefixes early.
 const maxFrame = 1 << 16
 
-// readFrame reads one framed message from r into m. scratch (capacity
-// at least 4) takes the length prefix and then the payload, and is
-// returned, grown if the payload needed it.
-func readFrame(r *bufio.Reader, scratch []byte, m *wire.Msg) ([]byte, error) {
-	hdr := scratch[:4]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return scratch, err
-	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if n == 0 || n > maxFrame {
-		return scratch, fmt.Errorf("transport: bad frame length %d", n)
-	}
-	if cap(scratch) < int(n) {
-		scratch = make([]byte, n)
-	}
-	scratch = scratch[:n]
-	if _, err := io.ReadFull(r, scratch); err != nil {
-		return scratch, fmt.Errorf("transport: truncated frame: %w", err)
-	}
-	return scratch, wire.DecodeInto(m, scratch)
-}
-
-// TCPServer accepts framed-message connections.
+// TCPServer accepts framed-message connections, for an event loop to
+// watch (Accept) or each on a reader goroutine of its own (Serve).
 type TCPServer struct {
-	ln     net.Listener
+	ln     *net.TCPListener
+	rc     syscall.RawConn
 	closed atomic.Bool // stored under mu, so that register and Close's sweep agree
 
 	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-
-	// OnConnClose, if set before Serve, observes every connection
-	// teardown: nil for a clean close (peer EOF between frames, or
-	// server shutdown), non-nil for an abnormal one (corrupt frame,
-	// truncated frame, decode failure, socket error). It runs on the
-	// connection's goroutine.
-	OnConnClose func(err error)
+	conns map[*TCPConn]struct{}
 
 	received                atomic.Int64
 	cleanCloses, connErrors atomic.Int64
@@ -71,89 +44,68 @@ func ListenTCP(addr string) (*TCPServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: tcp listen %q: %w", addr, err)
 	}
-	return &TCPServer{ln: ln, conns: make(map[net.Conn]struct{})}, nil
+	tl := ln.(*net.TCPListener)
+	rc, err := tl.SyscallConn()
+	if err != nil {
+		return nil, errors.Join(fmt.Errorf("transport: raw conn of %q: %w", addr, err), ln.Close())
+	}
+	return &TCPServer{ln: tl, rc: rc, conns: make(map[*TCPConn]struct{})}, nil
 }
 
 // Addr returns the bound address.
 func (s *TCPServer) Addr() net.Addr { return s.ln.Addr() }
 
-// ServeMsg accepts connections and hands every received message to h
-// until Close. h runs on per-connection goroutines, each with its own
-// Msg under Endpoint.ServeMsg's ownership rule: yours for the call.
-func (s *TCPServer) ServeMsg(h func(m *wire.Msg, from netip.AddrPort)) error {
-	return s.accept(func(from netip.AddrPort) func(*wire.Msg) {
-		return func(m *wire.Msg) { h(m, from) }
-	})
+// RawConn is the listener's raw connection, for an event loop to watch.
+func (s *TCPServer) RawConn() syscall.RawConn { return s.rc }
+
+// Accept takes one pending connection without waiting; nil when none is,
+// or when Close has begun (register).
+func (s *TCPServer) Accept() (*TCPConn, error) {
+	conn, err := acceptRaw(s.rc)
+	if conn == nil {
+		return nil, err
+	}
+	return s.register(conn), nil
 }
 
-// Serve is ServeMsg for a boxed handler. A connection has one peer, so
-// its address is converted once, not per message.
+// Serve accepts connections until Close and reads each on a goroutine of
+// its own, handing every message to h there, boxed (wire.Msg.Value). A
+// connection has one peer, so its address is converted once.
 func (s *TCPServer) Serve(h Handler) error {
-	return s.accept(func(from netip.AddrPort) func(*wire.Msg) {
-		ua := net.UDPAddrFromAddrPort(from)
-		return func(m *wire.Msg) { h(m.Value(), ua) }
-	})
-}
-
-// accept is the accept loop; bind makes a connection's handler from its
-// peer address.
-func (s *TCPServer) accept(bind func(from netip.AddrPort) func(*wire.Msg)) error {
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := s.ln.AcceptTCP()
 		if err != nil {
 			if s.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return fmt.Errorf("transport: accept: %w", err)
 		}
-		if !s.register(conn) {
-			continue
+		if c := s.register(conn); c != nil {
+			from := net.UDPAddrFromAddrPort(conn.RemoteAddr().(*net.TCPAddr).AddrPort())
+			go c.serve(func(m *wire.Msg) { h(m.Value(), from) })
 		}
-		var from netip.AddrPort
-		if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
-			from = ta.AddrPort()
-		}
-		go s.serveConn(conn, bind(from))
 	}
 }
 
 // register records a freshly accepted conn so that Close will close it.
-// Once Close has swept nothing would, and the conn's reader goroutine
-// would live until the peer hung up: such a conn is refused and torn
-// down here, as the shutdown close it is.
-func (s *TCPServer) register(conn net.Conn) bool {
+// Once Close has swept nothing would, and the conn would be read until
+// the peer hung up: such a conn is refused (nil) and torn down here, as
+// the shutdown close it is.
+func (s *TCPServer) register(conn *net.TCPConn) *TCPConn {
+	rc, err := conn.SyscallConn()
+	c := &TCPConn{s: s, conn: conn, rc: rc, buf: make([]byte, 2*(4+maxFrame))}
+	c.readf = c.read
 	s.mu.Lock()
-	closed := s.closed.Load()
-	if !closed {
-		s.conns[conn] = struct{}{}
+	refused := err != nil || s.closed.Load()
+	if !refused {
+		s.conns[c] = struct{}{}
 	}
 	s.mu.Unlock()
-	if closed {
-		s.finishConn(conn.Close())
+	if refused {
+		s.finishConn(errors.Join(err, conn.Close()))
+		return nil
 	}
-	return !closed
-}
-
-func (s *TCPServer) serveConn(conn net.Conn, h func(*wire.Msg)) {
-	defer func() {
-		_ = conn.Close() //dbo:vet-ignore errdrop teardown of an already-failed or drained conn
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	r := bufio.NewReader(conn)
-	scratch := make([]byte, 0, wire.MaxSize)
-	var m wire.Msg
-	for {
-		sc, err := readFrame(r, scratch, &m)
-		scratch = sc
-		if err != nil {
-			s.finishConn(err)
-			return
-		}
-		s.received.Add(1)
-		h(&m)
-	}
+	return c
 }
 
 // finishConn classifies one connection's terminal error and reports it.
@@ -164,15 +116,9 @@ func (s *TCPServer) serveConn(conn net.Conn, h func(*wire.Msg)) {
 func (s *TCPServer) finishConn(err error) {
 	if err == io.EOF || errors.Is(err, net.ErrClosed) || s.closed.Load() {
 		s.cleanCloses.Add(1)
-		if s.OnConnClose != nil {
-			s.OnConnClose(nil)
-		}
 		return
 	}
 	s.connErrors.Add(1)
-	if s.OnConnClose != nil {
-		s.OnConnClose(err)
-	}
 }
 
 // Received reports messages dispatched so far.
@@ -190,11 +136,127 @@ func (s *TCPServer) Close() error {
 	s.closed.Store(true)
 	err := s.ln.Close()
 	for c := range s.conns {
-		if cerr := c.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+		err = errors.Join(err, c.conn.Close())
 	}
 	return err
+}
+
+// TCPConn is one accepted connection and its frame reader: buf[head:tail]
+// is read and not handed over, a partial frame carried from one read to
+// the next, and each whole frame is decoded in place into msg.
+type TCPConn struct {
+	s          *TCPServer
+	conn       *net.TCPConn
+	rc         syscall.RawConn
+	buf        []byte
+	head, tail int
+	msg        wire.Msg
+	park       bool                  // an empty socket parks the reader (Serve), not ends the call (Drain)
+	err        error                 // why the stream ended
+	readf      func(fd uintptr) bool // read, bound once so that a call takes no method value
+}
+
+// RawConn is the connection's raw connection, for an event loop to watch.
+func (c *TCPConn) RawConn() syscall.RawConn { return c.rc }
+
+// Drain is Endpoint.Drain for frames, h run outside the read lock. Once
+// the stream has ended — the peer hung up (io.EOF on a frame boundary) or
+// sent a frame that does not parse — it returns why, counted in
+// ConnStats; the caller stops watching the connection and closes it.
+func (c *TCPConn) Drain(h func(*wire.Msg), max int) (more bool, err error) {
+	more = c.drain(h, max)
+	return more, c.err
+}
+
+func (c *TCPConn) drain(h func(*wire.Msg), max int) (more bool) {
+	for n := 0; n < max && c.err == nil; {
+		if c.frame(h) {
+			n++
+		} else if c.err == nil && !c.fill() {
+			return false
+		}
+	}
+	return c.err == nil
+}
+
+// serve is Serve's reader goroutine, parked while the socket is empty.
+func (c *TCPConn) serve(h func(*wire.Msg)) {
+	c.park = true
+	c.drain(h, math.MaxInt)
+	_ = c.Close() //dbo:vet-ignore errdrop teardown of an already-failed or drained conn
+}
+
+// fill reads what the socket holds behind the buffered bytes, and reports
+// whether it read any. A frame begun near the buffer's end is first moved
+// to its front, since the rest of it might not fit.
+func (c *TCPConn) fill() bool {
+	if c.head == c.tail {
+		c.head, c.tail = 0, 0
+	} else if len(c.buf)-c.tail < 4+maxFrame {
+		c.tail = copy(c.buf, c.buf[c.head:c.tail])
+		c.head = 0
+	}
+	tail := c.tail
+	c.fail(c.rc.Read(c.readf))
+	return c.tail > tail
+}
+
+// read is fill's RawConn.Read callback: one read(2). An empty socket ends
+// the call, or parks Serve's reader (false).
+func (c *TCPConn) read(fd uintptr) bool {
+	n, err := readRaw(fd, c.buf[c.tail:])
+	switch {
+	case n < 0:
+		return !c.park
+	case err != nil:
+		c.fail(fmt.Errorf("transport: tcp read: %w", err))
+	case n == 0 && c.head < c.tail:
+		c.fail(fmt.Errorf("transport: truncated frame: %w", io.ErrUnexpectedEOF))
+	case n == 0:
+		c.fail(io.EOF)
+	}
+	c.tail += n
+	return true
+}
+
+// frame hands the frame at the head of the buffer to h if it is whole.
+func (c *TCPConn) frame(h func(*wire.Msg)) bool {
+	b := c.buf[c.head:c.tail]
+	if len(b) < 4 {
+		return false
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	switch {
+	case n == 0 || n > maxFrame:
+		c.fail(fmt.Errorf("transport: bad frame length %d", n))
+		return false
+	case len(b) < 4+n:
+		return false
+	}
+	c.head += 4 + n
+	if err := wire.DecodeInto(&c.msg, b[4:4+n]); err != nil {
+		c.fail(err)
+		return false
+	}
+	c.s.received.Add(1)
+	h(&c.msg)
+	return true
+}
+
+// fail ends the stream with err, if it has not ended, and counts how.
+func (c *TCPConn) fail(err error) {
+	if err != nil && c.err == nil {
+		c.err = err
+		c.s.finishConn(err)
+	}
+}
+
+// Close forgets the connection and closes it.
+func (c *TCPConn) Close() error {
+	c.s.mu.Lock()
+	delete(c.s.conns, c)
+	c.s.mu.Unlock()
+	return c.conn.Close()
 }
 
 // TCPClient is a framed-message connection to a TCPServer. Writes are

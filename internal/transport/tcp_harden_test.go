@@ -10,18 +10,34 @@ import (
 	"dbo/internal/wire"
 )
 
-func newHardenedServer(t *testing.T) (*TCPServer, chan error, chan any) {
-	t.Helper()
-	srv, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// bothReaders runs f against a server whose connections Serve's reader
+// goroutines read, and against one whose connections a loop watches and
+// drains (watchTCP); got carries each message, boxed.
+func bothReaders(t *testing.T, f func(t *testing.T, srv *TCPServer, got chan any)) {
+	for _, drain := range []bool{false, true} {
+		t.Run(map[bool]string{false: "serve", true: "drain"}[drain], func(t *testing.T) {
+			srv, got := listenTCP(t), make(chan any, 64)
+			if drain {
+				watchTCP(t, srv, func(m *wire.Msg) { got <- m.Value() })
+			} else {
+				go srv.Serve(func(v any, _ *net.UDPAddr) { got <- v })
+			}
+			f(t, srv, got)
+		})
 	}
-	closes := make(chan error, 16)
-	srv.OnConnClose = func(err error) { closes <- err }
-	got := make(chan any, 64)
-	go srv.Serve(func(v any, from *net.UDPAddr) { got <- v })
-	t.Cleanup(func() { srv.Close() })
-	return srv, closes, got
+}
+
+// wantConnStats waits for the server to have counted clean and errored
+// closes.
+func wantConnStats(t *testing.T, srv *TCPServer, clean, errored int64) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if c, e := srv.ConnStats(); c == clean && e == errored {
+			return
+		} else if time.Now().After(deadline) {
+			t.Fatalf("conn stats (%d, %d), want (%d, %d)", c, e, clean, errored)
+		}
+	}
 }
 
 // TestTCPOversizedFrameRejectedAtEncode is the regression test for the
@@ -30,140 +46,102 @@ func newHardenedServer(t *testing.T) (*TCPServer, chan error, chan any) {
 // hit the wire — leaving the connection healthy. A maximally padded
 // probe is the one protocol message big enough to trip it.
 func TestTCPOversizedFrameRejectedAtEncode(t *testing.T) {
-	srv, _, got := newHardenedServer(t)
-	cli, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	huge := wire.Probe{MP: 1, Seq: 1, Pad: make([]byte, wire.MaxProbePad)}
-	err = cli.Send(huge)
-	if err == nil {
-		t.Fatal("oversized frame was sent; want encode-time rejection")
-	}
-	if !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-
-	// The connection must still work: the poison frame never left.
-	if err := cli.Send(market.Heartbeat{MP: 1}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case v := <-got:
-		if _, ok := v.(market.Heartbeat); !ok {
-			t.Fatalf("got %T", v)
+	bothReaders(t, func(t *testing.T, srv *TCPServer, got chan any) {
+		cli, err := DialTCP(srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("connection dead after rejected frame")
-	}
-	if clean, errored := srv.ConnStats(); clean != 0 || errored != 0 {
-		t.Fatalf("conn stats (%d, %d); nothing should have closed", clean, errored)
-	}
+		defer cli.Close()
+		err = cli.Send(wire.Probe{MP: 1, Seq: 1, Pad: make([]byte, wire.MaxProbePad)})
+		if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+			t.Fatalf("oversized frame: Send = %v, want an encode-time rejection", err)
+		}
+		// The connection must still work: the poison frame never left.
+		if err := cli.Send(market.Heartbeat{MP: 1}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case v := <-got:
+			if _, ok := v.(market.Heartbeat); !ok {
+				t.Fatalf("got %T", v)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("connection dead after rejected frame")
+		}
+		wantConnStats(t, srv, 0, 0)
+	})
 }
 
 // TestTCPLargeProbeWithinLimitTraverses pins the boundary from the
 // other side: a probe padded to just under the frame limit goes through.
 func TestTCPLargeProbeWithinLimitTraverses(t *testing.T) {
-	srv, _, got := newHardenedServer(t)
-	cli, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	pad := 1<<16 - wire.ProbeHeaderSize // frame == maxFrame exactly
-	if err := cli.Send(wire.Probe{MP: 2, Seq: 7, T1: 9, Pad: make([]byte, pad)}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case v := <-got:
-		p, ok := v.(wire.Probe)
-		if !ok || p.MP != 2 || p.Seq != 7 || len(p.Pad) != pad {
-			t.Fatalf("got %T %+v", v, v)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("probe at the frame limit not delivered")
-	}
-}
-
-// TestTCPCleanCloseCounted: a peer hanging up between frames is a clean
-// close — OnConnClose(nil), counted separately from errors.
-func TestTCPCleanCloseCounted(t *testing.T) {
-	srv, closes, got := newHardenedServer(t)
-	cli, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Send(market.Heartbeat{MP: 1}); err != nil {
-		t.Fatal(err)
-	}
-	<-got
-	cli.Close()
-	select {
-	case err := <-closes:
+	bothReaders(t, func(t *testing.T, srv *TCPServer, got chan any) {
+		cli, err := DialTCP(srv.Addr().String())
 		if err != nil {
-			t.Fatalf("clean EOF reported as error: %v", err)
+			t.Fatal(err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no close notification")
-	}
-	if clean, errored := srv.ConnStats(); clean != 1 || errored != 0 {
-		t.Fatalf("conn stats (%d, %d), want (1, 0)", clean, errored)
-	}
+		defer cli.Close()
+		pad := 1<<16 - wire.ProbeHeaderSize // frame == maxFrame exactly
+		if err := cli.Send(wire.Probe{MP: 2, Seq: 7, T1: 9, Pad: make([]byte, pad)}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case v := <-got:
+			p, ok := v.(wire.Probe)
+			if !ok || p.MP != 2 || p.Seq != 7 || len(p.Pad) != pad {
+				t.Fatalf("got %T %+v", v, v)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("probe at the frame limit not delivered")
+		}
+	})
 }
 
-// TestTCPCorruptFrameCloseCounted is the regression test for serveConn
-// swallowing read errors: a corrupt frame must surface through
-// OnConnClose with a non-nil error and count as an abnormal teardown.
+// A peer hanging up between frames is a clean close, counted separately
+// from errors; a corrupt prefix, or hanging up mid-frame, is an abnormal
+// one.
+func TestTCPCleanCloseCounted(t *testing.T) {
+	bothReaders(t, func(t *testing.T, srv *TCPServer, got chan any) {
+		cli, err := DialTCP(srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Send(market.Heartbeat{MP: 1}); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+		cli.Close()
+		wantConnStats(t, srv, 1, 0)
+	})
+}
+
 func TestTCPCorruptFrameCloseCounted(t *testing.T) {
-	srv, closes, _ := newHardenedServer(t)
-	raw, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := raw.Write([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	select {
-	case err := <-closes:
-		if err == nil {
-			t.Fatal("corrupt frame reported as clean close")
-		}
-		if !strings.Contains(err.Error(), "frame length") {
-			t.Fatalf("error does not name the cause: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no close notification")
-	}
-	if clean, errored := srv.ConnStats(); clean != 0 || errored != 1 {
-		t.Fatalf("conn stats (%d, %d), want (0, 1)", clean, errored)
-	}
+	bothReaders(t, func(t *testing.T, srv *TCPServer, _ chan any) {
+		writeRaw(t, srv, []byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, false)
+		wantConnStats(t, srv, 0, 1)
+	})
 }
 
-// TestTCPTruncatedFrameIsError: hanging up mid-frame is not a clean EOF.
 func TestTCPTruncatedFrameIsError(t *testing.T) {
-	srv, closes, _ := newHardenedServer(t)
+	bothReaders(t, func(t *testing.T, srv *TCPServer, _ chan any) {
+		writeRaw(t, srv, []byte{40, 0, 0, 0, 1, 2, 3}, true) // a 40-byte frame announced, 3 bytes sent
+		wantConnStats(t, srv, 0, 1)
+	})
+}
+
+// writeRaw dials srv and writes b; then it hangs up, or leaves that to
+// the test's end.
+func writeRaw(t *testing.T, srv *TCPServer, b []byte, hangUp bool) {
 	raw, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Announce a 40-byte frame, deliver 3 bytes, vanish.
-	if _, err := raw.Write([]byte{40, 0, 0, 0, 1, 2, 3}); err != nil {
+	t.Cleanup(func() { raw.Close() })
+	if _, err := raw.Write(b); err != nil {
 		t.Fatal(err)
 	}
-	raw.Close()
-	select {
-	case err := <-closes:
-		if err == nil {
-			t.Fatal("mid-frame hangup reported as clean close")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no close notification")
-	}
-	if clean, errored := srv.ConnStats(); clean != 0 || errored != 1 {
-		t.Fatalf("conn stats (%d, %d), want (0, 1)", clean, errored)
+	if hangUp {
+		raw.Close()
 	}
 }
 

@@ -145,40 +145,41 @@ func TestTCPServerCloseUnblocksServe(t *testing.T) {
 }
 
 // A conn accepted just before Close sweeps must not be left to a reader
-// goroutine nothing will ever stop: registration after Close is refused
-// and the conn closed, while one registered before is Close's to close.
+// nothing will ever stop: registration after Close is refused and the
+// conn closed, while one registered before is Close's to close.
 func TestTCPServerRefusesConnAfterClose(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := listenTCP(t)
 	peerClosed := func(peer net.Conn) bool {
 		peer.SetReadDeadline(time.Now().Add(2 * time.Second))
 		_, err := peer.Read(make([]byte, 1))
 		return err == io.EOF
 	}
-
-	early, earlyPeer := net.Pipe()
-	if !srv.register(early) {
-		t.Fatal("register before Close was refused")
-	}
+	_, earlyPeer := acceptOne(t, srv) // registered by Accept
 	srv.Close()
 	if !peerClosed(earlyPeer) {
 		t.Fatal("Close left a registered conn open")
 	}
 
-	late, latePeer := net.Pipe()
-	if srv.register(late) {
-		t.Fatal("register after Close was accepted")
+	// A conn from a listener of the test's own, still open.
+	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	latePeer, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer latePeer.Close()
+	late, err := ln.AcceptTCP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.register(late) != nil || len(srv.conns) != 1 {
+		t.Fatalf("register after Close was accepted, or recorded among %d conns", len(srv.conns))
 	}
 	if !peerClosed(latePeer) {
 		t.Fatal("a refused conn was left open")
-	}
-	srv.mu.Lock()
-	_, kept := srv.conns[late]
-	srv.mu.Unlock()
-	if kept {
-		t.Fatal("a refused conn was recorded")
 	}
 	if clean, errored := srv.ConnStats(); clean != 1 || errored != 0 {
 		t.Fatalf("ConnStats = %d clean, %d errored; want the refusal counted as one clean shutdown close", clean, errored)

@@ -1,9 +1,9 @@
-// Package transport provides the UDP endpoints of the live deployment:
-// one socket per node and wire-encoded datagrams. The typed calls are the
-// live path: Drain, called by a node's loop when the socket is readable,
-// or ServeMsg, a receive loop of its own, to hand decoded messages to a
-// handler; Write and WriteSegments. Serve and Send are the boxed forms
-// of ServeMsg and Write.
+// Package transport provides the sockets of the live deployment: one UDP
+// endpoint per node and wire-encoded datagrams, and framed TCP for the
+// reverse path (tcp.go). The typed calls are the live path and never
+// wait: Drain, called by a node's loop when a socket is readable, hands
+// decoded messages to a handler, and Write and WriteSegments send. Serve
+// and Send are the boxed forms, Serve a receive loop of its own.
 //
 // Write is one datagram and one trip down the kernel's stack.
 // WriteSegments is a run of equal-size records to one destination in
@@ -44,8 +44,6 @@ type Endpoint struct {
 
 	mu  sync.Mutex // guards Send's encode buffer
 	buf []byte
-
-	closed atomic.Bool
 
 	// oob is WriteSegments' control message, built by Listen; its size
 	// field is rewritten by each segmented send. gsoOff latches once the
@@ -163,10 +161,11 @@ func (e *Endpoint) Send(v any, to *net.UDPAddr) error {
 }
 
 // Drain reads at most max of the datagrams queued at the socket, without
-// waiting, and hands each decoded message to h, yours for the call as
-// under ServeMsg; it reports whether it stopped at max. Undecodable
-// datagrams and failed reads are counted (Stats, RxErrors) and skipped.
-// For one goroutine at a time, and not beside ServeMsg.
+// waiting, and hands each decoded message to h; it reports whether it
+// stopped at max. Undecodable datagrams and failed reads are counted
+// (Stats, RxErrors) and skipped. For one goroutine at a time, and not
+// beside Serve. The *wire.Msg is h's for the call only: the next message
+// is decoded into it, and m.Probe.Pad into storage the reader re-uses.
 func (e *Endpoint) Drain(h func(*wire.Msg), max int) (more bool) {
 	e.dh, e.dleft = h, max
 	return e.rc.Read(e.drainf) == nil && e.dleft == 0
@@ -195,21 +194,18 @@ func (e *Endpoint) drain(fd uintptr) bool {
 	return true
 }
 
-// ServeMsg reads datagrams and hands each decoded message to h until
-// Close. Run it on its own goroutine; h is called on that goroutine, so
-// handlers that touch node state must cross into the node's loop.
-//
-// The *wire.Msg is the reader's own and is yours for the call only: the
-// next datagram is decoded into it. A handler that keeps anything
-// copies it out, and must not keep m.Probe.Pad, which is storage the
-// reader re-uses.
-func (e *Endpoint) ServeMsg(h func(m *wire.Msg, from netip.AddrPort)) error {
+// Handler consumes one decoded message, boxed.
+type Handler func(v any, from *net.UDPAddr)
+
+// Serve reads datagrams and hands each decoded message, boxed
+// (wire.Msg.Value), to h until Close. Run it on its own goroutine.
+func (e *Endpoint) Serve(h Handler) error {
 	buf := make([]byte, 64*1024)
 	var m wire.Msg
 	for {
 		n, from, err := e.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			if e.closed.Load() || errors.Is(err, net.ErrClosed) {
+			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return fmt.Errorf("transport: read: %w", err)
@@ -219,19 +215,8 @@ func (e *Endpoint) ServeMsg(h func(m *wire.Msg, from netip.AddrPort)) error {
 			continue
 		}
 		e.received.Add(1)
-		h(&m, from)
-	}
-}
-
-// Handler consumes one decoded message, boxed.
-type Handler func(v any, from *net.UDPAddr)
-
-// Serve is ServeMsg for a boxed handler: each message is copied out of
-// the reader's Msg (wire.Msg.Value), so h may keep it.
-func (e *Endpoint) Serve(h Handler) error {
-	return e.ServeMsg(func(m *wire.Msg, from netip.AddrPort) {
 		h(m.Value(), net.UDPAddrFromAddrPort(from))
-	})
+	}
 }
 
 // Stats reports (sent, received, decode errors).
@@ -258,7 +243,4 @@ func (e *Endpoint) GSODisabled() int64 {
 }
 
 // Close shuts the socket down, unblocking Serve and ending Drain.
-func (e *Endpoint) Close() error {
-	e.closed.Store(true)
-	return e.conn.Close()
-}
+func (e *Endpoint) Close() error { return e.conn.Close() }
