@@ -100,6 +100,7 @@ type harness struct {
 
 	genTimes  []sim.Time         // G(x) indexed by point id-1
 	genPoints []market.DataPoint // generated points for retransmission
+	trades    market.TradeArena  // every submitted trade: the OB, submitted and the trade log hold it
 
 	// External opportunity stream (§4.2.6).
 	bypass   []*netsim.Link              // direct external feed per MP
@@ -218,7 +219,7 @@ func (h *harness) buildMPs() {
 
 func (h *harness) buildNetwork() {
 	fwdRecv := func(i int) func(v any) {
-		return func(v any) { h.onMarketData(i, v.(market.DataPoint)) }
+		return func(v any) { h.onMarketData(i, *v.(*market.DataPoint)) }
 	}
 	revRecv := func(i int) func(v any) {
 		return func(v any) { h.onUpstream(v) }
@@ -234,7 +235,7 @@ func (h *harness) buildNetwork() {
 	for i := 0; i < h.cfg.N; i++ {
 		i := i
 		h.slow = append(h.slow, netsim.NewLink(h.k, netsim.Constant(slowPathDelay),
-			func(v any) { h.onMarketData(i, v.(market.DataPoint)) }))
+			func(v any) { h.onMarketData(i, *v.(*market.DataPoint)) }))
 	}
 	if h.cfg.ExternalEvery > 0 && h.cfg.ExternalBypass {
 		// Internet-grade external feed: ~1ms with strong per-participant
@@ -452,9 +453,12 @@ func (h *harness) start() {
 				f.Emit(flight.Event{At: gen, Kind: flight.KindSeal, Point: dp.ID, Batch: dp.Batch})
 			}
 		}
-		var boxed any = dp // boxed once; every link carries the same immutable copy
+		// Every link carries a pointer to the kept point: elements are
+		// never written after the append, and a pointer into a backing
+		// array that a later append outgrew still reads the same point.
+		sent := &h.genPoints[len(h.genPoints)-1]
 		for _, p := range h.paths {
-			p.Fwd.Send(boxed)
+			p.Fwd.Send(sent)
 		}
 		tickNo++
 		if h.cfg.ExternalEvery > 0 && tickNo%h.cfg.ExternalEvery == 0 {
@@ -592,7 +596,7 @@ func (h *harness) onUpstream(v any) {
 		// Out-of-band repair on the slow path (Appendix D).
 		for id := m.From; id <= m.To; id++ {
 			if int(id) <= len(h.genPoints) {
-				h.slow[int(m.MP)-1].Send(h.genPoints[id-1])
+				h.slow[int(m.MP)-1].Send(&h.genPoints[id-1])
 			}
 		}
 	}
@@ -656,7 +660,8 @@ func (m *mpSim) submit(trigger market.PointID, symbol uint32, price int64, rt si
 	if m.rng.IntN(2) == 1 {
 		side = market.Sell
 	}
-	t := &market.Trade{
+	t := h.trades.New()
+	*t = market.Trade{
 		MP:        m.id,
 		Seq:       m.seq,
 		Symbol:    symbol,

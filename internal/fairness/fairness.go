@@ -15,6 +15,7 @@
 package fairness
 
 import (
+	"cmp"
 	"slices"
 
 	"dbo/internal/market"
@@ -33,16 +34,22 @@ type Outcome struct {
 	Lost    bool // never executed (dropped trade, crashed OB, ...)
 }
 
-// Tracker accumulates outcomes grouped by trigger point.
+// Tracker accumulates outcomes in record order and groups them by
+// trigger point when it scores. Outcomes are kept in fixed-size chunks,
+// so a long run's list is never copied to grow, and grouping sorts
+// their indices by (trigger, index), not the outcomes themselves: each
+// race's outcomes keep their record order.
 type Tracker struct {
-	races map[market.PointID][]Outcome
-	n     int
+	chunks  []*[chunkLen]Outcome
+	n       int
+	grouped []int // outcome indices by (trigger, index); stale while shorter than n
 }
 
+// chunkLen is the number of outcomes one chunk holds.
+const chunkLen = 1 << 10
+
 // NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{races: make(map[market.PointID][]Outcome)}
-}
+func NewTracker() *Tracker { return &Tracker{} }
 
 // Record scores an executed trade. The trade must carry its ground
 // truth (Trigger, RT) and its final position (FinalPos).
@@ -57,15 +64,52 @@ func (t *Tracker) RecordLost(tr *market.Trade) {
 }
 
 func (t *Tracker) add(o Outcome) {
-	t.races[o.Trigger] = append(t.races[o.Trigger], o)
+	if t.n%chunkLen == 0 {
+		t.chunks = append(t.chunks, new([chunkLen]Outcome))
+	}
+	*t.at(t.n) = o
 	t.n++
 }
+
+// at is the i-th outcome recorded.
+func (t *Tracker) at(i int) *Outcome { return &t.chunks[i/chunkLen][i%chunkLen] }
 
 // Trades reports the number of recorded outcomes.
 func (t *Tracker) Trades() int { return t.n }
 
 // Races reports the number of distinct trigger points seen.
-func (t *Tracker) Races() int { return len(t.races) }
+func (t *Tracker) Races() int {
+	idx, n := t.group(), 0
+	for i := 0; i < len(idx); i = t.raceEnd(idx, i) {
+		n++
+	}
+	return n
+}
+
+// group returns the outcome indices ordered by (trigger, index): each
+// race is one run of indices in record order, and the races are in
+// ascending trigger order.
+func (t *Tracker) group() []int {
+	if len(t.grouped) < t.n {
+		t.grouped = make([]int, t.n)
+		for i := range t.grouped {
+			t.grouped[i] = i
+		}
+		slices.SortFunc(t.grouped, func(a, b int) int {
+			return cmp.Or(cmp.Compare(t.at(a).Trigger, t.at(b).Trigger), cmp.Compare(a, b))
+		})
+	}
+	return t.grouped
+}
+
+// raceEnd is the end of the race that starts at idx[i].
+func (t *Tracker) raceEnd(idx []int, i int) int {
+	j, trig := i+1, t.at(idx[i]).Trigger
+	for j < len(idx) && t.at(idx[j]).Trigger == trig {
+		j++
+	}
+	return j
+}
 
 // Violation is one mis-ordered competing pair, for debugging.
 type Violation struct {
@@ -101,18 +145,15 @@ func (t *Tracker) Score(max int) (stats.Ratio, []Violation) { return t.score(tru
 // score visits triggers in ascending id, so a seeded run reports the
 // same violations every time.
 func (t *Tracker) score(collect bool, max int) (stats.Ratio, []Violation) {
-	trigs := make([]market.PointID, 0, len(t.races))
-	for trig := range t.races {
-		trigs = append(trigs, trig)
-	}
-	slices.Sort(trigs)
 	var r stats.Ratio
 	var viols []Violation
-	for _, trig := range trigs {
-		outs := t.races[trig]
-		for i := 0; i < len(outs); i++ {
-			for j := i + 1; j < len(outs); j++ {
-				a, b := outs[i], outs[j]
+	idx := t.group()
+	for lo, hi := 0, 0; lo < len(idx); lo = hi {
+		hi = t.raceEnd(idx, lo)
+		race, trig := idx[lo:hi], t.at(idx[lo]).Trigger
+		for i := 0; i < len(race); i++ {
+			for j := i + 1; j < len(race); j++ {
+				a, b := *t.at(race[i]), *t.at(race[j])
 				if a.MP == b.MP || a.RT == b.RT {
 					continue // same participant or no ground-truth winner
 				}

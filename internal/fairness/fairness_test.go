@@ -195,3 +195,57 @@ func TestPropertyFairnessBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Races recorded interleaved across several chunks, and again after a
+// first score, are scored exactly as per-race lists in record order
+// score them: the same pairs, the same violations, in the same order.
+func TestRacesSpanChunksInRecordOrder(t *testing.T) {
+	t.Parallel()
+	const triggers = 64
+	rng := rand.New(rand.NewPCG(3, 5))
+	tr := NewTracker()
+	races := map[market.PointID][]Outcome{}
+	record := func(n int) {
+		for i := 0; i < n; i++ {
+			o := Outcome{
+				MP: market.ParticipantID(rng.IntN(5) + 1), Seq: market.TradeSeq(tr.Trades() + 1),
+				Trigger: market.PointID(rng.IntN(triggers) + 1), RT: sim.Time(rng.IntN(50)), Pos: rng.IntN(1000),
+			}
+			tr.Record(&market.Trade{MP: o.MP, Seq: o.Seq, Trigger: o.Trigger, RT: o.RT, FinalPos: o.Pos})
+			races[o.Trigger] = append(races[o.Trigger], o)
+		}
+	}
+	want := func() (pairs int, viols []Violation) {
+		for trig := market.PointID(1); trig <= triggers; trig++ {
+			outs := races[trig]
+			for i := range outs {
+				for j := i + 1; j < len(outs); j++ {
+					a, b := outs[i], outs[j]
+					if a.MP == b.MP || a.RT == b.RT {
+						continue
+					}
+					if b.RT < a.RT {
+						a, b = b, a
+					}
+					pairs++
+					if a.Pos >= b.Pos {
+						viols = append(viols, Violation{Trigger: trig, Faster: a, Slower: b})
+					}
+				}
+			}
+		}
+		return pairs, viols
+	}
+	for _, n := range []int{3*chunkLen + 5, chunkLen / 2} {
+		record(n)
+		r, v := tr.Score(0)
+		pairs, viols := want()
+		if r.Total != pairs || r.Total-r.Correct != len(viols) || !slices.Equal(v, viols) {
+			t.Fatalf("after %d outcomes: %d pairs, %d violations; want %d and %d, in race record order",
+				tr.Trades(), r.Total, len(v), pairs, len(viols))
+		}
+		if tr.Races() != len(races) {
+			t.Errorf("Races() = %d, want %d", tr.Races(), len(races))
+		}
+	}
+}

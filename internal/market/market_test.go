@@ -132,3 +132,38 @@ func TestDeliveryClockString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// TestTradeArena holds the arena to its contract: every slot comes back
+// zeroed and distinct, a pointer handed out before several chunk refills
+// still reads what was written through it, and 512 New calls cost one
+// allocation, the chunk.
+func TestTradeArena(t *testing.T) {
+	var a TradeArena
+	first := a.New()
+	first.MP, first.Seq = 7, 42
+	seen := map[*Trade]bool{first: true}
+	for i := 0; i < 3*arenaChunk; i++ {
+		tr := a.New()
+		if *tr != (Trade{}) {
+			t.Fatalf("New #%d: %+v, want a zeroed trade", i+2, *tr)
+		}
+		if seen[tr] {
+			t.Fatalf("New #%d returned a slot already handed out", i+2)
+		}
+		seen[tr] = true
+		tr.MP, tr.Seq = ParticipantID(i), TradeSeq(i)
+	}
+	if first.MP != 7 || first.Seq != 42 {
+		t.Errorf("first trade reads (%d, %d) after three refills, want (7, 42)", first.MP, first.Seq)
+	}
+
+	var b TradeArena
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < arenaChunk; i++ {
+			b.New()
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("%v allocations per %d New calls, want 1 (the chunk)", allocs, arenaChunk)
+	}
+}

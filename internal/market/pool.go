@@ -42,3 +42,28 @@ func (p *TradePool) Put(t *Trade) {
 
 // Len reports the number of pooled trades (tests).
 func (p *TradePool) Len() int { return len(p.free) }
+
+// TradeArena hands out Trades cut from fixed-size chunks, for producers
+// whose trades have no last consumer to Put them (a retained log, a
+// scoring table). A slot is never reused, so a pointer New returned
+// stays valid and unchanged for as long as anyone holds it, and the GC
+// frees a chunk once none of its trades is referenced. It costs one
+// allocation per arenaChunk trades instead of one per trade. The zero
+// value is ready to use; like TradePool it is for one goroutine.
+type TradeArena struct {
+	chunk []Trade // the current chunk's slots not yet handed out
+}
+
+// arenaChunk is the number of trades one chunk holds.
+const arenaChunk = 512
+
+// New returns a zeroed Trade that no other New call returns.
+func (a *TradeArena) New() *Trade {
+	if len(a.chunk) == 0 {
+		//dbo:vet-ignore allocfree chunk refill — one allocation per 512 trades, the arena's whole cost; the per-trade budget tests pin it
+		a.chunk = make([]Trade, arenaChunk)
+	}
+	t := &a.chunk[0]
+	a.chunk = a.chunk[1:]
+	return t
+}

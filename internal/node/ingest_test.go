@@ -135,12 +135,14 @@ func order(mp market.ParticipantID, seq market.TradeSeq, elapsed sim.Time) marke
 // Trades come from ids 1..senders in rotation: with senders below mps
 // the silent ids' watermarks hold every trade of a burst until the
 // heartbeat round, which then releases the burst in one loop turn.
+// first is the first trade OnForward handed out.
 type ingestFleet struct {
 	sock      *rawSocket
 	ces       *CES
 	mps       int
 	senders   int
 	forwarded atomic.Int64
+	first     atomic.Pointer[market.Trade]
 	seq       market.TradeSeq
 	sent      int64
 	elapsed   sim.Time
@@ -174,7 +176,10 @@ func startIngestFleetRead(t *testing.T, mps int, read func([]byte)) *ingestFleet
 	for i := range addrs {
 		addrs[i] = f.sock.addr()
 	}
-	f.ces = startIngestCES(t, addrs, func(*market.Trade) { f.forwarded.Add(1) })
+	f.ces = startIngestCES(t, addrs, func(tr *market.Trade) {
+		f.first.CompareAndSwap(nil, tr)
+		f.forwarded.Add(1)
+	})
 	return f
 }
 
@@ -204,11 +209,12 @@ func (f *ingestFleet) run(t *testing.T, n, burst int) {
 
 // TestLiveIngestAllocBudget holds the live ingest path — the loop's
 // socket read, decode, ordering buffer, matching engine,
-// execution reports out — to one and a half heap objects per forwarded
+// execution reports out — to a twentieth of a heap object per forwarded
 // trade, on a real CES fed by a raw socket. What is left under the
-// budget is the trade the OB and Forwarded() retain; the transport, the
-// loop, the matching engine and the exec egress contribute nothing per
-// message.
+// budget is the trade arena's chunk, one per 512 trades, and the
+// amortized growth of the slices that grow with the run (the forwarded
+// log, the generation log); the transport, the loop, the matching engine
+// and the exec egress contribute nothing per message.
 func TestLiveIngestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live ingest needs real sockets and real time")
@@ -222,13 +228,13 @@ func TestLiveIngestAllocBudget(t *testing.T) {
 	f.run(t, bursts, burst)
 	runtime.ReadMemStats(&after)
 
-	const budget = 1.5
+	const budget = 0.05
 	trades := float64(burst * bursts)
 	perTrade := float64(after.Mallocs-before.Mallocs) / trades
-	t.Logf("%.2f objects per forwarded trade over %.0f trades, %.2f fills per trade, %d datagrams dropped at the socket",
+	t.Logf("%.4f objects per forwarded trade over %.0f trades, %.2f fills per trade, %d datagrams dropped at the socket",
 		perTrade, trades, float64(f.ces.Executions())/float64(f.sent), f.ces.Metrics().Snapshot()["udp_rx_dropped"])
 	if perTrade > budget {
-		t.Fatalf(`%.2f heap objects per forwarded trade, budget %.1f. Per-message sites that must stay at zero — profile with
+		t.Fatalf(`%.4f heap objects per forwarded trade, budget %.2f. Per-message sites that must stay at zero — profile with
   go test ./internal/node -run TestLiveIngestAllocBudget -memprofile mem.prof -memprofilerate 1
   go tool pprof -sample_index=alloc_objects -top mem.prof
 and look for:
@@ -239,8 +245,36 @@ and look for:
   metrics.(*Registry).Counter             not an object, but a mutex and a map lookup per message
   node.(*CES).tick                        a closure per re-arm (the tick is Loop.Schedule with the index as arg)
   lob.(*Book).SubmitTIF                   a resting order or a fills slice per submit (slab and borrowed scratch)
-Expected to remain: node.(*CES).onMessage (the trade, 1.00).`,
+  node.(*CES).onMessage                   a trade per message (it comes from c.trades, the arena)
+Expected to remain: market.(*TradeArena).New (its 512-trade chunk, 1/512 ≈ 0.002).`,
 			perTrade, budget)
+	}
+}
+
+// TestForwardedTradeOutlivesItsChunk holds the CES to the contract on
+// CESConfig.OnForward and Forwarded: a forwarded trade is the CES's,
+// valid and unchanged for its life. A pointer kept from the first
+// OnForward still reads the first trade sent after more than two arena
+// chunks of later trades and a collection, and it is Forwarded()[0].
+func TestForwardedTradeOutlivesItsChunk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live ingest needs real sockets and real time")
+	}
+	const burst = 64
+	f := startIngestFleet(t, 4)
+	f.run(t, 1, burst)
+	kept := f.first.Load()
+	if kept == nil || kept.MP != 1 || kept.Seq != 1 {
+		t.Fatalf("first forwarded trade %+v, want MP 1 Seq 1", kept)
+	}
+	f.run(t, 5*512/burst, burst) // five arena chunks more
+	runtime.GC()
+	if kept.MP != 1 || kept.Seq != 1 {
+		t.Errorf("kept trade reads MP %d Seq %d after %d later trades, want MP 1 Seq 1", kept.MP, kept.Seq, f.sent-burst)
+	}
+	fwd := f.ces.Forwarded()
+	if int64(len(fwd)) != f.sent || fwd[0] != kept {
+		t.Errorf("Forwarded() holds %d trades (sent %d), first %p; OnForward's first was %p", len(fwd), f.sent, fwd[0], kept)
 	}
 }
 

@@ -165,7 +165,9 @@ type CESConfig struct {
 	Adaptive *core.AdaptiveConfig
 
 	// OnForward, if set, observes each trade as it reaches the ME
-	// (called on the CES loop goroutine).
+	// (called on the CES loop goroutine). The trade belongs to the CES:
+	// it stays valid and unchanged for the CES's life, so the callback
+	// may keep the pointer, but it must not write through it.
 	OnForward func(t *market.Trade)
 
 	// Flight, if non-nil, records the CES-side trade lifecycle (data
@@ -205,6 +207,8 @@ type CES struct {
 	// loop turn has queued for eps[i]. nextTick is the deadline of the
 	// market-data tick that is armed. genTimes and genPoints are each
 	// point's generation time (the OB's GenTime) and the point (retransmit).
+	// trades is where each received trade is copied out of the reader's
+	// Msg: the OB queue, the ME and the forwarded log hold it from there.
 	buf       []byte
 	addrs     []netip.AddrPort
 	eps       []netip.AddrPort
@@ -214,6 +218,7 @@ type CES struct {
 	nextTick  sim.Time
 	genTimes  []sim.Time
 	genPoints []market.DataPoint
+	trades    market.TradeArena
 
 	// RTT probing (loop goroutine only, except the Prober internals
 	// which are safe anywhere).
@@ -221,9 +226,8 @@ type CES struct {
 	probers  []*transport.Prober
 	proberOf map[market.ParticipantID]*transport.Prober
 
-	mu        sync.Mutex // guards forwarded and execs, which other goroutines read
+	mu        sync.Mutex // guards forwarded, which other goroutines read
 	forwarded []*market.Trade
-	execs     int
 
 	stop sync.Once
 }
@@ -670,8 +674,7 @@ func (c *CES) peerOf(id market.ParticipantID) *peer {
 func (c *CES) onMessage(m *wire.Msg) {
 	switch m.Type {
 	case wire.TTrade:
-		//dbo:vet-ignore allocfree the one allocation a trade costs: the OB queue and Forwarded() keep it, so it is copied out of the reader's Msg
-		t := new(market.Trade)
+		t := c.trades.New()
 		*t = m.Trade
 		t.Ctx.Hop++ // network ingress at the CES node
 		c.m.tradesReceived.Inc()
@@ -744,7 +747,6 @@ func (c *CES) onForward(t *market.Trade) {
 	}
 	c.mu.Lock()
 	c.forwarded = append(c.forwarded, t)
-	c.execs += len(execs)
 	c.mu.Unlock()
 	c.m.tradesForwarded.Inc()
 	c.m.executions.Add(int64(len(execs)))
@@ -839,6 +841,8 @@ func (c *CES) flush() {
 }
 
 // Forwarded snapshots the trades forwarded to the ME so far, in order.
+// The slice is the caller's; the trades are the CES's, valid and
+// unchanged for its life, and read-only.
 func (c *CES) Forwarded() []*market.Trade {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -847,12 +851,8 @@ func (c *CES) Forwarded() []*market.Trade {
 	return out
 }
 
-// Executions reports fills so far.
-func (c *CES) Executions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.execs
-}
+// Executions reports fills so far: the loop's executions counter.
+func (c *CES) Executions() int { return int(c.m.executions.Value()) }
 
 // Queued reports trades currently held in the ordering buffer, read on
 // the loop; -1 once the node has stopped. Only meaningful once the node

@@ -605,9 +605,9 @@ func TestScrapeAfterStopReturnsAtOnce(t *testing.T) {
 // TestLiveClusterAllocBudget holds the whole live loop — CES tick and
 // fan-out, two real MPs (one on the framed-TCP reverse path), release
 // buffer pacing, response timers, probes, heartbeats, ordering buffer,
-// matching engine, execution reports — to one and a half heap objects
+// matching engine, execution reports — to a twentieth of a heap object
 // per forwarded trade. As on the ingest path, what is left is the trade
-// the OB and Forwarded() retain.
+// arena's chunk and the amortized growth of the run's logs.
 func TestLiveClusterAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live cluster test needs real time")
@@ -667,14 +667,14 @@ func TestLiveClusterAllocBudget(t *testing.T) {
 	trades := float64(forwarded.Load() - from)
 	runtime.ReadMemStats(&after)
 
-	const budget = 1.5
+	const budget = 0.05
 	perTrade := float64(after.Mallocs-before.Mallocs) / trades
 	m := ces.Metrics().Snapshot()
-	t.Logf("%.2f objects per forwarded trade over %.0f trades, %.2f fills per trade, %.2f exec datagrams per fill, %d datagrams dropped at the socket",
+	t.Logf("%.4f objects per forwarded trade over %.0f trades, %.2f fills per trade, %.2f exec datagrams per fill, %d datagrams dropped at the socket",
 		perTrade, trades, float64(m["executions"])/float64(m["trades_forwarded"]),
 		float64(m["exec_reports_sent"])/float64(max(m["executions"], 1)), m["udp_rx_dropped"])
 	if perTrade > budget {
-		t.Fatalf(`%.2f heap objects per forwarded trade, budget %.1f. Beyond the ingest path's sites (TestLiveIngestAllocBudget), profile with
+		t.Fatalf(`%.4f heap objects per forwarded trade, budget %.2f. Beyond the ingest path's sites (TestLiveIngestAllocBudget), profile with
   go test ./internal/node -run TestLiveClusterAllocBudget -memprofile mem.prof -memprofilerate 1
   go tool pprof -sample_index=alloc_objects -top mem.prof
 and look for:
@@ -682,7 +682,7 @@ and look for:
   core.(*ReleaseBuffer).tryRelease         a closure per paced release (the RB schedules the func it bound once)
   node.(*MP).onBatch / respond             a closure or a trade per response (slab slot + Loop.Schedule, one reused Trade)
   transport.(*TCPClient).Write             a frame header per message (prefixed in place)
-Expected to remain: node.(*CES).onMessage (the trade, 1.00).`,
+Expected to remain: market.(*TradeArena).New (its 512-trade chunk, 1/512 ≈ 0.002).`,
 			perTrade, budget)
 	}
 }
